@@ -73,6 +73,7 @@ from .circuits import (
     Circuit,
     GateCounts,
     GateOp,
+    apply_circuit,
     build_tbar,
     build_tkl,
     build_udec_circuit,

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
-
-
-def _check_dim(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"sequence length must be >= 2, got {d}")
+from .linalg import DEFAULT_TOL, _check_dim
 
 
 @dataclass(frozen=True)
@@ -99,15 +94,13 @@ def autocorr2d(d: int) -> np.ndarray:
     """Magnitudes of the 2D periodic autocorrelation of the c_kl grid.
 
     Entry (m, n) is |(1/d^2) sum_{k,l} c_kl conj(c_{k+m, l+n})| with
-    cyclic index shifts; the grid is a delta at (0, 0).
+    cyclic index shifts; the grid is a delta at (0, 0). Since
+    c_kl = c(k) c(l), the sum factors into |a(m) a(n)| with a the 1D
+    periodic autocorrelation of the Chu sequence.
     """
-    g = coeff_grid(d).entries
-    out = np.empty((d, d))
-    for m in range(d):
-        for n in range(d):
-            shifted = np.roll(np.roll(g, -m, axis=0), -n, axis=1)
-            out[m, n] = abs(np.sum(g * np.conj(shifted)) / (d * d))
-    return out
+    c = chu(d).values
+    a = np.array([periodic_autocorr(c, s) for s in range(d)])
+    return np.abs(np.outer(a, a))
 
 
 def gauss_sum(d: int, m: int) -> complex:

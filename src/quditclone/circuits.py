@@ -3,9 +3,13 @@
 A circuit is an ordered list of gate descriptors over a register. A
 descriptor names a base gate (shift power, phase power, Fourier,
 diagonal phase list, controlled power, swap, or a bare scalar phase)
-plus optional control wires: when ``control_levels`` is set the base
-gate fires only on the matching control subspace, which is how the
-level-controlled gates of the decryption circuit are expressed.
+plus optional control wires, each with the level on which the base
+gate fires (a controlled power instead fires base^j on every control
+level j); that is how the level-controlled gates of the decryption
+circuit are expressed. ``apply_circuit`` runs a circuit on a state
+vector, which is how the protocol executes; ``circuit_to_unitary``
+expands one into a dense matrix for comparison with the paper's
+operator formulas.
 """
 
 import json
@@ -18,6 +22,8 @@ from .linalg import (
     OPERATOR_DIM_CAP,
     Register,
     SizeCapError,
+    StateVector,
+    _apply_on_axes,
 )
 from .protocol import ProtocolParams
 
@@ -66,7 +72,7 @@ class GateOp:
                 raise ValueError("cpow takes exactly one control and no levels")
             if self.base not in ("x", "z"):
                 raise ValueError(f"cpow base must be 'x' or 'z', got {self.base!r}")
-        elif self.control_levels and len(self.control_levels) != len(self.controls):
+        elif len(self.control_levels) != len(self.controls):
             raise ValueError("one control level per control wire required")
         wires = self.targets + self.controls
         if len(set(wires)) != len(wires):
@@ -127,67 +133,41 @@ def _base_matrix(op: GateOp, d: int) -> np.ndarray:
         return np.diag(np.exp(1j * np.array(op.phases)))
     if op.kind == "swap":
         return gates.swap_gate(d)
-    if op.kind == "cpow":
-        return gates.x_power(d, op.power) if op.base == "x" else gates.z_power(d, op.power)
+    if op.kind == "scalar":
+        return np.full((1, 1), np.exp(1j * op.phase))
     raise ValueError(f"no base matrix for kind {op.kind!r}")
 
 
-def _apply_gateop(t: np.ndarray, op: GateOp, reg: Register) -> np.ndarray:
-    """Left-multiply one gate into an accumulator tensor.
+def _blocks(op: GateOp, d: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(control levels, matrix) pairs that together make up one gate.
 
-    ``t`` has one axis per wire plus a trailing column axis; controlled
-    gates touch only the matching control slice, so evaluation stays
-    cheap even on large registers.
+    Each matrix acts on the gate's targets inside the slice where the
+    controls hold those levels; every other slice is left alone. A
+    controlled power fires base^(j*power) on each control level j.
     """
-    d, w = reg.d, reg.num_wires
-
-    def on_axes(tensor, mat, positions):
-        m = len(positions)
-        opt = mat.reshape([d] * (2 * m))
-        out = np.tensordot(opt, tensor, axes=(list(range(m, 2 * m)), list(positions)))
-        return np.moveaxis(out, list(range(m)), list(positions))
-
-    if op.kind == "scalar":
-        factor = np.exp(1j * op.phase)
-        if not op.controls:
-            return t * factor
-        cpos = reg.positions(op.controls)
-        out = t.copy()
-        ix = [slice(None)] * (w + 1)
-        for p, lv in zip(cpos, op.control_levels):
-            ix[p] = lv
-        out[tuple(ix)] = out[tuple(ix)] * factor
-        return out
-
     if op.kind == "cpow":
-        cpos = reg.positions(op.controls)[0]
-        tpos = reg.positions(op.targets)
-        base = _base_matrix(op, d)
-        out = t.copy()
-        power = np.eye(d, dtype=complex)
-        for j in range(1, d):
-            power = base @ power
-            ix = [slice(None)] * (w + 1)
-            ix[cpos] = j
-            sub = out[tuple(ix)]
-            sub_pos = [p - (1 if p > cpos else 0) for p in tpos]
-            out[tuple(ix)] = on_axes(sub, power, sub_pos)
-        return out
+        power = gates.x_power if op.base == "x" else gates.z_power
+        return [((j,), power(d, j * op.power)) for j in range(1, d)]
+    return [(op.control_levels, _base_matrix(op, d))]
 
-    mat = _base_matrix(op, d)
-    if op.control_levels:
+
+def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register) -> np.ndarray:
+    """Left-multiply the circuit's gates, in order, into ``t`` in place.
+
+    ``t`` has one axis per wire of ``reg``, optionally followed by a
+    column axis; a controlled gate touches only its control slice.
+    """
+    for op in circuit.ops:
         cpos = reg.positions(op.controls)
-        tpos = reg.positions(op.targets)
-        out = t.copy()
-        ix = [slice(None)] * (w + 1)
-        for p, lv in zip(cpos, op.control_levels):
-            ix[p] = lv
-        sub = out[tuple(ix)]
-        sub_pos = [p - sum(1 for c in cpos if c < p) for p in tpos]
-        out[tuple(ix)] = on_axes(sub, mat, sub_pos)
-        return out
-
-    return on_axes(t, mat, list(reg.positions(op.targets)))
+        # integer-indexing the control axes drops them from the slice
+        tpos = [p - sum(c < p for c in cpos) for p in reg.positions(op.targets)]
+        for levels, mat in _blocks(op, reg.d):
+            ix = [slice(None)] * t.ndim
+            for p, lv in zip(cpos, levels):
+                ix[p] = lv
+            sub = t[tuple(ix)]
+            sub[...] = _apply_on_axes(sub, mat, tpos)
+    return t
 
 
 def circuit_to_unitary(circuit: Circuit, dim_cap: int = OPERATOR_DIM_CAP) -> np.ndarray:
@@ -199,9 +179,23 @@ def circuit_to_unitary(circuit: Circuit, dim_cap: int = OPERATOR_DIM_CAP) -> np.
             f"circuit register dimension {dim} exceeds the operator cap {dim_cap}"
         )
     t = np.eye(dim, dtype=complex).reshape([reg.d] * reg.num_wires + [dim])
-    for op in circuit.ops:
-        t = _apply_gateop(t, op, reg)
-    return t.reshape(dim, dim)
+    return _apply_ops(t, circuit, reg).reshape(dim, dim)
+
+
+def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
+    """Run the circuit's gates on the state's wires of the same names.
+
+    State wires the circuit does not name are left alone, and no dense
+    operator is built. The input state is not modified.
+    """
+    reg = state.register
+    if reg.d != circuit.register.d:
+        raise ValueError(
+            f"circuit dimension {circuit.register.d} does not match the state's {reg.d}"
+        )
+    reg.positions(circuit.register.wires)  # raises on a wire the state lacks
+    t = _apply_ops(state.tensor().copy(), circuit, reg)
+    return StateVector(reg, t)
 
 
 def q_entries(d: int) -> np.ndarray:
@@ -296,14 +290,17 @@ def _c_gate_ops(s1: str, n1: str, d: int) -> list[GateOp]:
     ]
 
 
-def _tkl_ops(d: int, k: int, l: int, s1: str, n1: str, locals_: list[str]) -> list[GateOp]:
+def _tkl_ops(
+    c: np.ndarray, k: int, l: int, s1: str, n1: str, locals_: list[str]
+) -> list[GateOp]:
     """Gates of one conditional correction block, fired when (S1,N1)=(k,l).
 
-    The coefficient phase is a controlled global phase (the drawn wire
-    is immaterial); each remaining local wire gets Z^-l then X^k.
+    ``c`` holds the Chu coefficients. The coefficient phase is a
+    controlled global phase (the drawn wire is immaterial); each
+    remaining local wire gets Z^-l then X^k.
     """
-    ckl = cazac.chu(d).values
-    phase = float(-np.angle(ckl[k] * ckl[l]))  # conj(c_kl)/conj(c_00), c_00 = 1
+    d = len(c)
+    phase = float(-np.angle(c[k] * c[l]))  # conj(c_kl)/conj(c_00), c_00 = 1
     controls = (s1, n1)
     levels = (k, l)
     ops = [
@@ -337,28 +334,29 @@ def build_tkl(d: int, n: int, k: int, l: int) -> Circuit:
         raise SizeCapError(
             f"T gate register dimension {reg.dim} exceeds the cap {OPERATOR_DIM_CAP}"
         )
-    return Circuit(reg, tuple(_tkl_ops(d, k, l, "S1", "N1", locals_)))
+    return Circuit(reg, tuple(_tkl_ops(cazac.chu(d).values, k, l, "S1", "N1", locals_)))
 
 
 def build_udec_circuit(params: ProtocolParams) -> Circuit:
-    """Decryption circuit on (S1, N1, N2..Nn).
+    """Decryption circuit on (S_t, N_t, N_j for j != t), t the target share.
 
     Bell analyzer in, the d^2 - 1 nontrivial conditional corrections in
     index order, analyzer out, then the relay gate and the final swap;
     evaluates to the dense decryption unitary.
     """
-    d, n = params.d, params.n
-    wires = tuple(["S1", "N1"] + [f"N{j}" for j in range(2, n + 1)])
-    reg = Register(d, wires)
-    locals_ = [f"N{j}" for j in range(2, n + 1)]
+    d, n, t = params.d, params.n, params.target_party
+    s, nt = f"S{t}", f"N{t}"
+    locals_ = [f"N{j}" for j in range(1, n + 1) if j != t]
+    reg = Register(d, (s, nt, *locals_))
+    c = cazac.chu(d).values
     ops: list[GateOp] = [GateOp(kind="scalar", phase=0.0)]  # c_00 prefactor
-    ops += _tbar_ops("S1", "N1", d)
+    ops += _tbar_ops(s, nt, d)
     for idx in range(1, d * d):
         k, l = divmod(idx, d)
-        ops += _tkl_ops(d, k, l, "S1", "N1", locals_)
-    ops += _tbar_dag_ops("S1", "N1", d)
-    ops += _c_gate_ops("S1", "N1", d)
-    ops.append(GateOp(kind="swap", targets=("S1", "N1")))
+        ops += _tkl_ops(c, k, l, s, nt, locals_)
+    ops += _tbar_dag_ops(s, nt, d)
+    ops += _c_gate_ops(s, nt, d)
+    ops.append(GateOp(kind="swap", targets=(s, nt)))
     return Circuit(reg, tuple(ops))
 
 

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Register, StateVector, is_unitary
-
-
-def _check_dim(d: int) -> None:
-    if d < 2:
-        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+from .linalg import DEFAULT_TOL, Register, StateVector, _check_dim, is_unitary
 
 
 def omega(d: int) -> complex:
@@ -27,17 +22,12 @@ def omega(d: int) -> complex:
 
 def shift_x(d: int) -> np.ndarray:
     """Cyclic shift X: permutation matrix sending |k> to |k+1 mod d>."""
-    _check_dim(d)
-    m = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        m[(k + 1) % d, k] = 1.0
-    return m
+    return x_power(d, 1)
 
 
 def phase_z(d: int) -> np.ndarray:
     """Diagonal phase Z = diag(1, w, ..., w^{d-1})."""
-    _check_dim(d)
-    return np.diag(omega(d) ** np.arange(d))
+    return z_power(d, 1)
 
 
 def fourier(d: int) -> np.ndarray:

@@ -23,6 +23,11 @@ class SizeCapError(ValueError):
     """A requested object would exceed the configured dense-size caps."""
 
 
+def _check_dim(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"qudit dimension must be >= 2, got {d}")
+
+
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
@@ -63,8 +68,7 @@ class Register:
     wires: tuple[str, ...]
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"qudit dimension must be >= 2, got {self.d}")
+        _check_dim(self.d)
         object.__setattr__(self, "wires", tuple(self.wires))
         if len(self.wires) == 0:
             raise ValueError("register needs at least one wire")
@@ -199,11 +203,12 @@ def _apply_on_axes(tensor: np.ndarray, op: np.ndarray, positions) -> np.ndarray:
     ``tensor`` may carry extra trailing axes (e.g. a column axis when the
     target is a matrix); only the listed axes are transformed.
     """
-    m = len(positions)
-    dims = [tensor.shape[p] for p in positions]
-    opt = op.reshape(dims + dims)
-    out = np.tensordot(opt, tensor, axes=(list(range(m, 2 * m)), list(positions)))
-    return np.moveaxis(out, list(range(m)), list(positions))
+    # bring the listed axes to the front, act with one matrix product,
+    # then undo the permutation
+    perm = list(positions) + [i for i in range(tensor.ndim) if i not in positions]
+    t = tensor.transpose(perm)
+    out = (op @ t.reshape(op.shape[1], -1)).reshape(t.shape)
+    return out.transpose(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def embed_apply(state: StateVector, op: np.ndarray, wires) -> StateVector:

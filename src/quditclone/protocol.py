@@ -2,9 +2,14 @@
 
 The register layout is canonical throughout: [A, S_1..S_n, N_1..N_n].
 Encryption acts on (A, S_1..S_n); decryption acts on the target share
-and all locally kept wires (S_t, N_t, N_j for j != t). Both operators
-are built densely on n+1 wires only and embedded, never materialized on
-the full register.
+and all locally kept wires (S_t, N_t, N_j for j != t).
+
+``run_protocol`` executes the gate circuits of ``circuits`` directly on
+the state vector. The dense operators built here from the paper's
+formulas (``u_enc``, ``v_of_p``, ``u_dec_dense``) are independent
+oracles for those circuits; ``u_dec_dense`` also serves as the default
+decryption path of a run, the reference the circuit path is checked
+against.
 """
 
 import time
@@ -21,6 +26,7 @@ from .linalg import (
     Register,
     SizeCapError,
     StateVector,
+    _check_dim,
     embed_apply,
     is_unitary,
     kron,
@@ -43,8 +49,7 @@ class ProtocolParams:
     target_party: int = 1
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"qudit dimension must be >= 2, got {self.d}")
+        _check_dim(self.d)
         if self.n < 1:
             raise ValueError(f"party count must be >= 1, got {self.n}")
         if not 1 <= self.target_party <= self.n:
@@ -244,8 +249,11 @@ def run_protocol(
     every share's deviation from the maximally mixed state, decrypts onto
     the target share, and scores the final state against the closed form
     (1/sqrt d) sum_p |p>_A |psi>_{S_t} |p>_{N_t} x Bell pairs elsewhere,
-    up to a global phase.
+    up to a global phase. Encryption runs the gate circuits on the state;
+    decryption does too when ``decrypt_with_circuit`` is set.
     """
+    from . import circuits  # imported here: circuits imports this module
+
     d, n, t = params.d, params.n, params.target_party
     if params.state_dim > STATE_AMPLITUDE_CAP:
         raise SizeCapError(
@@ -268,8 +276,8 @@ def run_protocol(
     t1 = time.perf_counter()
     timings["prepare"] = (t1 - t0) * 1e3
 
-    enc = u_enc(params)
-    state = embed_apply(state, enc, ["A"] + [f"S{i}" for i in range(1, n + 1)])
+    state = circuits.apply_circuit(state, circuits.build_vpz_circuit(d, n))
+    state = circuits.apply_circuit(state, circuits.build_vpx_circuit(d, n))
     t2 = time.perf_counter()
     timings["encrypt"] = (t2 - t1) * 1e3
 
@@ -281,14 +289,12 @@ def run_protocol(
     t3 = time.perf_counter()
     timings["marginals"] = (t3 - t2) * 1e3
 
-    if decrypt_with_circuit:
-        from .circuits import build_udec_circuit, circuit_to_unitary
-
-        dec = circuit_to_unitary(build_udec_circuit(params))
-    else:
-        dec = u_dec_dense(params)
     others = [j for j in range(1, n + 1) if j != t]
-    state = embed_apply(state, dec, [f"S{t}", f"N{t}"] + [f"N{j}" for j in others])
+    if decrypt_with_circuit:
+        state = circuits.apply_circuit(state, circuits.build_udec_circuit(params))
+    else:
+        dec_wires = [f"S{t}", f"N{t}"] + [f"N{j}" for j in others]
+        state = embed_apply(state, u_dec_dense(params), dec_wires)
     t4 = time.perf_counter()
     timings["decrypt"] = (t4 - t3) * 1e3
 

@@ -3,11 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from conftest import random_unit_vector
 from quditclone import (
     Circuit,
     GateOp,
     ProtocolParams,
     Register,
+    StateVector,
+    apply_circuit,
     build_tbar,
     build_tkl,
     build_udec_circuit,
@@ -16,12 +19,14 @@ from quditclone import (
     circuit_to_unitary,
     counts_csv,
     counts_table,
+    embed_apply,
     fourier,
     gate_counts,
     is_unitary,
     kron_all,
     max_abs_diff,
     pauli_product,
+    protocol_register,
     q_entries,
     q_gate,
     tally_gates,
@@ -80,6 +85,8 @@ def test_gateop_validation():
         GateOp(kind="cpow", targets=("a",), controls=("b", "c"))
     with pytest.raises(ValueError):
         GateOp(kind="xpow", targets=("a",), controls=("b",), control_levels=(1, 2))
+    with pytest.raises(ValueError):
+        GateOp(kind="xpow", power=1, targets=("a",), controls=("b",))
 
 
 def test_circuit_rejects_unknown_wires():
@@ -251,10 +258,44 @@ def test_tkl_products_commute_and_stay_unitary():
 
 
 def test_udec_circuit_matches_dense():
-    for d, n in [(2, 1), (2, 2), (3, 1), (3, 2)]:
-        params = ProtocolParams(d, n)
-        got = circuit_to_unitary(build_udec_circuit(params))
-        assert max_abs_diff(got, u_dec_dense(params)) < TOL
+    for d, n, t in [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (3, 3, 2)]:
+        params = ProtocolParams(d, n, t)
+        circ = build_udec_circuit(params)
+        others = tuple(f"N{j}" for j in range(1, n + 1) if j != t)
+        assert circ.register.wires == (f"S{t}", f"N{t}") + others
+        assert max_abs_diff(circuit_to_unitary(circ), u_dec_dense(params)) < TOL
+
+
+def test_apply_circuit_matches_embedded_unitary():
+    rng = np.random.default_rng(23)
+    for d, n in [(2, 1), (3, 1), (2, 2), (4, 2), (2, 3), (3, 3)]:
+        reg = protocol_register(d, n)
+        circs = [build_vpz_circuit(d, n), build_vpx_circuit(d, n)]
+        circs += [build_udec_circuit(ProtocolParams(d, n, t)) for t in sorted({1, n})]
+        for circ in circs:
+            state = StateVector(reg, random_unit_vector(rng, reg.dim))
+            got = apply_circuit(state, circ)
+            want = embed_apply(state, circuit_to_unitary(circ), circ.register.wires)
+            assert max_abs_diff(got.amplitudes, want.amplitudes) < 1e-12
+
+
+def test_apply_circuit_leaves_input_unmodified():
+    rng = np.random.default_rng(29)
+    reg = protocol_register(3, 2)
+    state = StateVector(reg, random_unit_vector(rng, reg.dim))
+    before = state.amplitudes.copy()
+    for circ in (build_vpx_circuit(3, 2), build_udec_circuit(ProtocolParams(3, 2))):
+        out = apply_circuit(state, circ)
+        assert np.array_equal(state.amplitudes, before)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+def test_apply_circuit_rejects_foreign_register():
+    state = StateVector(Register(2, ("a",)), np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        apply_circuit(state, Circuit(Register(2, ("b",)), ()))
+    with pytest.raises(ValueError):
+        apply_circuit(state, Circuit(Register(3, ("a",)), ()))
 
 
 def test_udec_circuit_has_expected_block_count():

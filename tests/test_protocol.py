@@ -279,6 +279,23 @@ def test_run_protocol_circuit_path_matches_dense():
     assert max_abs_diff(dense.marginal_deviations, circ.marginal_deviations) < 1e-12
 
 
+def test_run_protocol_builds_no_dense_operator_on_circuit_paths(monkeypatch):
+    from quditclone import circuits, protocol
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_protocol built a dense operator")
+
+    monkeypatch.setattr(protocol, "u_enc", refuse)
+    monkeypatch.setattr(protocol, "v_of_p", refuse)
+    monkeypatch.setattr(circuits, "circuit_to_unitary", refuse)
+    for decrypt_with_circuit in (False, True):
+        report = run_protocol(
+            ProtocolParams(3, 2, target_party=2), seed=21,
+            decrypt_with_circuit=decrypt_with_circuit,
+        )
+        assert report.passed
+
+
 def test_run_protocol_circuit_path_other_target():
     report = run_protocol(
         ProtocolParams(3, 2, target_party=2), seed=13, decrypt_with_circuit=True
