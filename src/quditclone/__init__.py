@@ -57,6 +57,7 @@ from .protocol import (
     IdentitySuiteReport,
     ProtocolParams,
     ProtocolReport,
+    apply_u_dec,
     c_gate,
     dec_projector_sum,
     exp_generalization,

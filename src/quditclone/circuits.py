@@ -111,8 +111,14 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", tuple(self.ops))
+        d = self.register.d
         for op in self.ops:
             self.register.positions(op.wires)
+            # checked here, not in GateOp, which does not know d
+            if not all(0 <= lv < d for lv in op.control_levels):
+                raise ValueError(
+                    f"control levels {op.control_levels} out of range 0..{d - 1}"
+                )
 
     def to_ops_json(self) -> str:
         return json.dumps([op.to_dict() for op in self.ops], indent=2, sort_keys=True)
@@ -152,16 +158,21 @@ def _blocks(op: GateOp, d: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
 
 
 def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register) -> np.ndarray:
-    """Left-multiply the circuit's gates, in order, into ``t`` in place.
+    """Left-multiply the circuit's gates, in order, into ``t``.
 
     ``t`` has one axis per wire of ``reg``, optionally followed by a
-    column axis; a controlled gate touches only its control slice.
+    column axis; a controlled gate touches only its control slice, which
+    it writes in place, so ``t`` may be modified. The result is returned.
     """
     for op in circuit.ops:
         cpos = reg.positions(op.controls)
         # integer-indexing the control axes drops them from the slice
         tpos = [p - sum(c < p for c in cpos) for p in reg.positions(op.targets)]
         for levels, mat in _blocks(op, reg.d):
+            if not levels:
+                # uncontrolled: take the new array, no full-state write-back
+                t = _apply_on_axes(t, mat, tpos)
+                continue
             ix = [slice(None)] * t.ndim
             for p, lv in zip(cpos, levels):
                 ix[p] = lv

@@ -1,9 +1,9 @@
 """Command-line front end: verify, run, counts, autocorr, circuit-dump.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration or
-size-cap error. Reports are deterministic for a fixed flag set and
-seed; wall-clock timings are only emitted when --timings is passed,
-since they would break byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 configuration,
+size-cap or out-of-memory error. Reports are deterministic for a fixed
+flag set and seed; wall-clock timings are only emitted when --timings
+is passed, since they would break byte-identical output.
 """
 
 import argparse
@@ -156,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=1, help="share receiving the state")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--circuit", action="store_true",
-                   help="decrypt with the gate-level circuit instead of the dense operator")
+                   help="decrypt with the gate-level circuit instead of the "
+                        "Bell-projector formula (both are matrix-free)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical output)")
     p.add_argument("--out", default=None)
@@ -191,6 +192,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SizeCapError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

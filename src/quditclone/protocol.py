@@ -4,12 +4,14 @@ The register layout is canonical throughout: [A, S_1..S_n, N_1..N_n].
 Encryption acts on (A, S_1..S_n); decryption acts on the target share
 and all locally kept wires (S_t, N_t, N_j for j != t).
 
-``run_protocol`` executes the gate circuits of ``circuits`` directly on
-the state vector. The dense operators built here from the paper's
-formulas (``u_enc``, ``v_of_p``, ``u_dec_dense``) are independent
-oracles for those circuits; ``u_dec_dense`` also serves as the default
-decryption path of a run, the reference the circuit path is checked
-against.
+``run_protocol`` is matrix-free on both decryption paths. It encrypts
+by running the gate circuits of ``circuits`` on the state vector. By
+default it decrypts with ``apply_u_dec``, which applies the paper's
+Bell-projector formula factor by factor; with ``decrypt_with_circuit``
+it runs the decryption gate circuit instead, so each path cross-checks
+the other. The dense operators built here from the paper's formulas
+(``u_enc``, ``v_of_p``, ``u_dec_dense``, ``dec_projector_sum``) are
+oracles only: the tests and ``verify_identities`` use them, no run does.
 """
 
 import time
@@ -27,7 +29,6 @@ from .linalg import (
     SizeCapError,
     StateVector,
     _check_dim,
-    embed_apply,
     is_unitary,
     kron,
     kron_all,
@@ -175,6 +176,48 @@ def u_dec_dense(params: ProtocolParams) -> np.ndarray:
     return head @ dec_projector_sum(params)
 
 
+def apply_u_dec(state: StateVector, params: ProtocolParams) -> StateVector:
+    """Apply the decryption unitary to a state without building it.
+
+    Evaluates the ``u_dec_dense`` formula one factor at a time on the
+    wires (S_t, N_t, N_j for j != t): the pair is rotated into its Bell
+    components, branch (k, l) is scaled by conj(c_k c_l) and gets
+    X^k Z^-l on every other N_j, then the pair is rotated back and SWAP . C
+    acts on it. No operator beyond d^2 x d^2 is formed. The input state
+    is not modified.
+    """
+    d, n, t = params.d, params.n, params.target_party
+    reg = state.register
+    if reg.d != d:
+        raise ValueError(f"state dimension {reg.d} does not match d={d}")
+    pair = reg.positions((f"S{t}", f"N{t}"))
+    rest = [i for i in range(reg.num_wires) if i not in pair]
+    locals_ = reg.positions([f"N{j}" for j in range(1, n + 1) if j != t])
+    c = cazac.chu(d).values
+    bell = _bell_basis_stack(d)  # row k*d + l is the Bell vector of (k, l)
+
+    # Bell components of the pair, branch (k, l) scaled by conj(c_k c_l)
+    rot_in = np.conj(np.outer(c, c)).reshape(-1, 1) * bell.conj()
+    perm = list(pair) + rest
+    x = state.tensor().transpose(perm).reshape(d * d, -1)
+    x = (rot_in @ x).reshape([d * d] + [d] * len(rest))
+
+    # X^k Z^-l on each remaining local wire, all d^2 branches in one batch
+    corr = np.array(
+        [gates.x_power(d, k) @ gates.z_power(d, -l) for k in range(d) for l in range(d)]
+    )
+    for p in locals_:
+        ax = 1 + rest.index(p)
+        y = np.moveaxis(x, ax, 1)
+        y = (corr @ y.reshape(d * d, d, -1)).reshape(y.shape)
+        x = np.moveaxis(y, 1, ax)
+
+    # back out of the Bell basis, then SWAP . C on the pair
+    rot_out = gates.swap_gate(d) @ c_gate(d) @ bell.T
+    x = (rot_out @ x.reshape(d * d, -1)).reshape([d] * reg.num_wires)
+    return StateVector(reg, x.transpose(np.argsort(perm)).reshape(-1))
+
+
 @dataclass
 class ProtocolReport:
     """Outcome of one protocol run, JSON-serializable."""
@@ -249,8 +292,10 @@ def run_protocol(
     every share's deviation from the maximally mixed state, decrypts onto
     the target share, and scores the final state against the closed form
     (1/sqrt d) sum_p |p>_A |psi>_{S_t} |p>_{N_t} x Bell pairs elsewhere,
-    up to a global phase. Encryption runs the gate circuits on the state;
-    decryption does too when ``decrypt_with_circuit`` is set.
+    up to a global phase. No dense operator is built: encryption runs the
+    gate circuits on the state, and decryption applies the paper's
+    Bell-projector formula with ``apply_u_dec``, or runs the decryption
+    gate circuit when ``decrypt_with_circuit`` is set.
     """
     from . import circuits  # imported here: circuits imports this module
 
@@ -293,8 +338,7 @@ def run_protocol(
     if decrypt_with_circuit:
         state = circuits.apply_circuit(state, circuits.build_udec_circuit(params))
     else:
-        dec_wires = [f"S{t}", f"N{t}"] + [f"N{j}" for j in others]
-        state = embed_apply(state, u_dec_dense(params), dec_wires)
+        state = apply_u_dec(state, params)
     t4 = time.perf_counter()
     timings["decrypt"] = (t4 - t3) * 1e3
 

@@ -95,6 +95,18 @@ def test_circuit_rejects_unknown_wires():
         Circuit(reg, (GateOp(kind="fourier", targets=("zz",)),))
 
 
+def test_circuit_rejects_control_levels_out_of_range():
+    # a negative level used to fire on level d + level, one >= d to fail
+    # only at evaluation
+    for d, level in ((3, -1), (2, 5), (2, 2)):
+        op = GateOp(kind="xpow", power=1, targets=("a",), controls=("b",),
+                    control_levels=(level,))
+        with pytest.raises(ValueError, match="control levels"):
+            Circuit(Register(d, ("a", "b")), (op,))
+    op = GateOp(kind="xpow", power=1, targets=("a",), controls=("b",), control_levels=(2,))
+    Circuit(Register(3, ("a", "b")), (op,))  # the top level is valid
+
+
 def test_cpow_op_matches_controlled_power_gate():
     from quditclone import controlled_power, shift_x
 

@@ -62,6 +62,11 @@ def test_run_circuit_flag_matches_dense(capsys):
     assert a["used_circuit"] is False and b["used_circuit"] is True
     assert b["decryption_fidelity"] >= 1 - 1e-10
     assert a["marginals"] == pytest.approx(b["marginals"], abs=1e-12)
+    assert a["decryption_fidelity"] == pytest.approx(b["decryption_fidelity"], abs=1e-12)
+    assert [r["pair"] for r in a["bell_residuals"]] == [r["pair"] for r in b["bell_residuals"]]
+    assert [r["fidelity"] for r in a["bell_residuals"]] == pytest.approx(
+        [r["fidelity"] for r in b["bell_residuals"]], abs=1e-12
+    )
 
 
 def test_run_deterministic_output(tmp_path, capsys):
@@ -87,6 +92,19 @@ def test_run_cap_exceeded(capsys):
     code, _, err = run_cli(capsys, "run", "--d", "4", "--n", "6")
     assert code == 2
     assert "cap" in err and "d=4" in err
+
+
+def test_out_of_memory_is_config_error(monkeypatch, capsys):
+    from quditclone import protocol
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB")
+
+    monkeypatch.setattr(protocol, "run_protocol", exhaust)
+    code, out, err = run_cli(capsys, "run", "--d", "3", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 64.0 GiB\n"
 
 
 def test_verify_cap_exceeded(capsys):

@@ -6,15 +6,19 @@ from quditclone import (
     ProtocolParams,
     Register,
     SizeCapError,
+    StateVector,
+    apply_u_dec,
     basis_state,
     c_gate,
     dec_projector_sum,
+    embed_apply,
     exp_generalization,
     is_unitary,
     kron_all,
     max_abs_diff,
     pauli_product,
     phase_z,
+    protocol_register,
     random_state,
     run_protocol,
     shift_x,
@@ -205,6 +209,39 @@ def test_u_dec_factors_through_projector_sum():
     assert max_abs_diff(lhs, head @ dec_projector_sum(ProtocolParams(d, n))) < 1e-12
 
 
+def _random_register_state(rng, d, n):
+    reg = protocol_register(d, n)
+    return StateVector(reg, random_unit_vector(rng, reg.dim))
+
+
+def test_apply_u_dec_matches_dense_operator():
+    rng = np.random.default_rng(31)
+    for d, n_max in [(2, 4), (3, 3), (4, 2), (5, 2), (6, 2)]:
+        for n in range(1, n_max + 1):
+            for t in range(1, n + 1):
+                params = ProtocolParams(d, n, target_party=t)
+                state = _random_register_state(rng, d, n)
+                wires = [f"S{t}", f"N{t}"] + [f"N{j}" for j in range(1, n + 1) if j != t]
+                expected = embed_apply(state, u_dec_dense(params), wires)
+                got = apply_u_dec(state, params)
+                assert got.register == state.register
+                assert max_abs_diff(got.amplitudes, expected.amplitudes) < 1e-12, (d, n, t)
+
+
+def test_apply_u_dec_leaves_input_unmodified():
+    state = _random_register_state(np.random.default_rng(32), 3, 3)
+    before = state.amplitudes.copy()
+    out = apply_u_dec(state, ProtocolParams(3, 3, target_party=2))
+    assert np.array_equal(state.amplitudes, before)
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+def test_apply_u_dec_rejects_dimension_mismatch():
+    state = _random_register_state(np.random.default_rng(33), 2, 2)
+    with pytest.raises(ValueError):
+        apply_u_dec(state, ProtocolParams(3, 2))
+
+
 def test_run_protocol_multi_share():
     report = run_protocol(ProtocolParams(3, 2), seed=7)
     assert max(report.marginal_deviations) < TOL
@@ -280,13 +317,17 @@ def test_run_protocol_circuit_path_matches_dense():
 
 
 def test_run_protocol_builds_no_dense_operator_on_circuit_paths(monkeypatch):
-    from quditclone import circuits, protocol
+    from quditclone import circuits, linalg, protocol
 
     def refuse(*args, **kwargs):
         raise AssertionError("run_protocol built a dense operator")
 
     monkeypatch.setattr(protocol, "u_enc", refuse)
     monkeypatch.setattr(protocol, "v_of_p", refuse)
+    monkeypatch.setattr(protocol, "u_dec_dense", refuse)
+    monkeypatch.setattr(protocol, "dec_projector_sum", refuse)
+    monkeypatch.setattr(protocol, "embed_apply", refuse, raising=False)
+    monkeypatch.setattr(linalg, "embed_apply", refuse)
     monkeypatch.setattr(circuits, "circuit_to_unitary", refuse)
     for decrypt_with_circuit in (False, True):
         report = run_protocol(
