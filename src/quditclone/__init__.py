@@ -1,9 +1,9 @@
 """quditclone: simulate and verify encrypted cloning of qudit states.
 
-Dense, desk-scale numerics: build the encryption/decryption unitaries
-for any dimension d >= 2 and party count n >= 1, run the protocol on
-state vectors, check every supporting operator identity, and export the
-gate-count and autocorrelation tables.
+Desk-scale numerics for any dimension d >= 2 and party count n >= 1: run
+the protocol matrix-free on state vectors, build the dense encryption and
+decryption unitaries as test oracles, check every supporting operator
+identity, and export the gate-count and autocorrelation tables.
 """
 
 __version__ = "0.1.0"

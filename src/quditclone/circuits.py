@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cazac, gates
-from .linalg import (
-    OPERATOR_DIM_CAP,
-    Register,
-    SizeCapError,
-    StateVector,
-    _apply_on_axes,
-)
+from .linalg import Register, StateVector, _apply_on_axes, _check_operator_dim
 from .protocol import ProtocolParams
 
 KINDS = (
@@ -119,6 +113,8 @@ class Circuit:
                 raise ValueError(
                     f"control levels {op.control_levels} out of range 0..{d - 1}"
                 )
+            if op.kind == "diag" and len(op.phases) != d:
+                raise ValueError(f"diag gate needs {d} phases, got {len(op.phases)}")
 
     def to_ops_json(self) -> str:
         return json.dumps([op.to_dict() for op in self.ops], indent=2, sort_keys=True)
@@ -134,8 +130,6 @@ def _base_matrix(op: GateOp, d: int) -> np.ndarray:
     if op.kind == "fourier_dag":
         return gates.fourier(d).conj().T
     if op.kind == "diag":
-        if len(op.phases) != d:
-            raise ValueError(f"diag gate needs {d} phases, got {len(op.phases)}")
         return np.diag(np.exp(1j * np.array(op.phases)))
     if op.kind == "swap":
         return gates.swap_gate(d)
@@ -181,14 +175,11 @@ def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register) -> np.ndarray:
     return t
 
 
-def circuit_to_unitary(circuit: Circuit, dim_cap: int = OPERATOR_DIM_CAP) -> np.ndarray:
+def circuit_to_unitary(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (ordered product of embedded gates)."""
     reg = circuit.register
     dim = reg.dim
-    if dim > dim_cap:
-        raise SizeCapError(
-            f"circuit register dimension {dim} exceeds the operator cap {dim_cap}"
-        )
+    _check_operator_dim(dim, "circuit register")
     t = np.eye(dim, dtype=complex).reshape([reg.d] * reg.num_wires + [dim])
     return _apply_ops(t, circuit, reg).reshape(dim, dim)
 
@@ -265,16 +256,12 @@ def build_vpx_circuit(d: int, n: int) -> Circuit:
 def build_tbar(d: int) -> np.ndarray:
     """Bell-basis analyzer: maps (X^k Z^l x I)|Phi_d> to |k>|l>.
 
-    Materialized densely from the defining mapping; the gate-level
-    realization used inside the decryption circuit is checked against
-    this matrix in the tests.
+    Materialized densely from the defining mapping: row k*d + l is the
+    conjugated Bell-basis vector of (k, l). The gate-level realization
+    used inside the decryption circuit is checked against this matrix in
+    the tests.
     """
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            b = gates.bell_basis_amplitudes(gates.WeylIndex(d, k, l))
-            out[k * d + l, :] = b.conj()
-    return out
+    return gates.bell_basis(d).conj()
 
 
 def _tbar_ops(s1: str, n1: str, d: int) -> list[GateOp]:
@@ -340,12 +327,8 @@ def build_tkl(d: int, n: int, k: int, l: int) -> Circuit:
     else:
         wires = tuple(["S1", "N1", "S2"] + [f"N{j}" for j in range(2, n + 1)])
         locals_ = [f"N{j}" for j in range(2, n + 1)]
-    reg = Register(d, wires)
-    if reg.dim > OPERATOR_DIM_CAP:
-        raise SizeCapError(
-            f"T gate register dimension {reg.dim} exceeds the cap {OPERATOR_DIM_CAP}"
-        )
-    return Circuit(reg, tuple(_tkl_ops(cazac.chu(d).values, k, l, "S1", "N1", locals_)))
+    ops = _tkl_ops(cazac.chu(d).values, k, l, "S1", "N1", locals_)
+    return Circuit(Register(d, wires), tuple(ops))
 
 
 def build_udec_circuit(params: ProtocolParams) -> Circuit:

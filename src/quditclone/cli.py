@@ -43,8 +43,11 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
+    d_values = _parse_range(args.d_range)
+    for d in d_values:  # refuse the whole range before any check runs
+        protocol.oracle_dim(protocol.ProtocolParams(d, args.n))
     results = []
-    for d in _parse_range(args.d_range):
+    for d in d_values:
         report = protocol.verify_identities(
             d, n=args.n, seed=args.seed, tol=args.tol
         )
@@ -111,14 +114,15 @@ def cmd_autocorr(args) -> int:
 
 
 _BUILDERS = {
-    "vpz": lambda d, n: circuits.build_vpz_circuit(d, n),
-    "vpx": lambda d, n: circuits.build_vpx_circuit(d, n),
-    "udec": lambda d, n: circuits.build_udec_circuit(protocol.ProtocolParams(d, n)),
+    "vpz": lambda p: circuits.build_vpz_circuit(p.d, p.n),
+    "vpx": lambda p: circuits.build_vpx_circuit(p.d, p.n),
+    "udec": circuits.build_udec_circuit,
 }
 
 
 def cmd_circuit_dump(args) -> int:
-    circ = _BUILDERS[args.builder](args.d, args.n)
+    # a dump is refused at any (d, n) that a run cannot hold
+    circ = _BUILDERS[args.builder](protocol.ProtocolParams(args.d, args.n))
     _emit_json(
         {
             "version": __version__,

@@ -133,8 +133,19 @@ def weyl_displacement(idx: WeylIndex) -> np.ndarray:
     return x_power(idx.d, idx.k) @ z_power(idx.d, idx.l)
 
 
+def bell_basis(d: int) -> np.ndarray:
+    """Bell-basis vectors (X^k Z^l x I)|Phi_d> = vec(X^k Z^l)/sqrt d, row k*d + l."""
+    _check_dim(d)
+    j = np.arange(d)
+    phases = omega(d) ** np.outer(j, j)  # [l, p] = w^{pl}, as in z_power
+    k, l, p = j[:, None, None], j[None, :, None], j[None, None, :]
+    out = np.zeros((d, d, d, d), dtype=complex)
+    out[k, l, (p + k) % d, p] = phases[l, p]
+    return np.multiply(out, 1 / np.sqrt(d), out=out).reshape(d * d, d * d)
+
+
 def bell_basis_amplitudes(idx: WeylIndex) -> np.ndarray:
-    return np.kron(weyl_displacement(idx), np.eye(idx.d)) @ bell_amplitudes(idx.d)
+    return bell_basis(idx.d)[idx.k * idx.d + idx.l].copy()  # not a view of d^4 entries
 
 
 def bell_basis_state(idx: WeylIndex, wires=("q0", "q1")) -> StateVector:

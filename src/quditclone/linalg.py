@@ -12,9 +12,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10
 
-# Dense operators are refused above this dimension; full-register state
-# vectors above 2**22 amplitudes are refused. Keeps every supported run
-# desk-scale.
+# One size rule per kind of object, checked where the object is made: dense
+# operators (and d x d gates or grids) above OPERATOR_DIM_CAP and state
+# vectors above STATE_AMPLITUDE_CAP amplitudes are refused. Keeps runs desk-scale.
 OPERATOR_DIM_CAP = 4096
 STATE_AMPLITUDE_CAP = 2 ** 22
 
@@ -23,9 +23,25 @@ class SizeCapError(ValueError):
     """A requested object would exceed the configured dense-size caps."""
 
 
+def _check_operator_dim(dim: int, what: str) -> None:
+    if dim > OPERATOR_DIM_CAP:
+        raise SizeCapError(
+            f"{what} dimension {dim} exceeds the operator cap {OPERATOR_DIM_CAP}"
+        )
+
+
+def _check_state_size(d: int, wires: int, what: str) -> None:
+    # d >= 2, so this many wires exceed the cap: refuse before forming d**wires
+    if wires >= STATE_AMPLITUDE_CAP.bit_length() or d ** wires > STATE_AMPLITUDE_CAP:
+        raise SizeCapError(
+            f"{what} needs {d}^{wires} amplitudes, over the cap {STATE_AMPLITUDE_CAP}"
+        )
+
+
 def _check_dim(d: int) -> None:
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
+    _check_operator_dim(d, "qudit")
 
 
 def _as_complex(a) -> np.ndarray:
@@ -37,26 +53,22 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = OPERATOR_DIM_CAP) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two square operators."""
     a, b = _as_complex(a), _as_complex(b)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("kron: first operand is not square")
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("kron: second operand is not square")
-    dim = a.shape[0] * b.shape[0]
-    if dim > dim_cap:
-        raise SizeCapError(
-            f"kron result dimension {dim} exceeds the operator cap {dim_cap}"
-        )
+    _check_operator_dim(a.shape[0] * b.shape[0], "kron result")
     return np.kron(a, b)
 
 
-def kron_all(mats, dim_cap: int = OPERATOR_DIM_CAP) -> np.ndarray:
+def kron_all(mats) -> np.ndarray:
     """Left-to-right Kronecker product of a sequence of square operators."""
     out = np.eye(1, dtype=complex)
     for m in mats:
-        out = kron(out, m, dim_cap=dim_cap)
+        out = kron(out, m)
     return out
 
 
@@ -108,13 +120,9 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        _check_state_size(self.register.d, self.register.num_wires, "state vector")
         amps = _as_complex(self.amplitudes).reshape(-1)
         object.__setattr__(self, "amplitudes", amps)
-        if self.register.dim > STATE_AMPLITUDE_CAP:
-            raise SizeCapError(
-                f"state vector of {self.register.dim} amplitudes exceeds the "
-                f"cap {STATE_AMPLITUDE_CAP}"
-            )
         if amps.size != self.register.dim:
             raise ValueError(
                 f"amplitude count {amps.size} does not match register "

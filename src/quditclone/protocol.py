@@ -23,12 +23,11 @@ import scipy.linalg
 from . import cazac, gates
 from .linalg import (
     DEFAULT_TOL,
-    STATE_AMPLITUDE_CAP,
-    OPERATOR_DIM_CAP,
     Register,
-    SizeCapError,
     StateVector,
     _check_dim,
+    _check_operator_dim,
+    _check_state_size,
     is_unitary,
     kron,
     kron_all,
@@ -43,7 +42,11 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Dimension d, party count n and the share receiving the state."""
+    """Dimension d, party count n and the share receiving the state.
+
+    Admits exactly what a run can hold: a d^(2n+1)-amplitude state and the
+    d^2 x d^2 pair gates of decryption. Dense oracles cap their own size.
+    """
 
     d: int
     n: int
@@ -57,15 +60,16 @@ class ProtocolParams:
             raise ValueError(
                 f"target party {self.target_party} out of range 1..{self.n}"
             )
-        if self.d ** (self.n + 1) > OPERATOR_DIM_CAP:
-            raise SizeCapError(
-                f"protocol operators for d={self.d}, n={self.n} need dense "
-                f"dimension {self.d ** (self.n + 1)} > cap {OPERATOR_DIM_CAP}"
-            )
+        what = f"protocol run for d={self.d}, n={self.n}"
+        _check_state_size(self.d, 2 * self.n + 1, what)
+        _check_operator_dim(self.d * self.d, f"{what}: pair gate")
 
-    @property
-    def state_dim(self) -> int:
-        return self.d ** (2 * self.n + 1)
+
+def oracle_dim(params: ProtocolParams) -> int:
+    """Dimension d^(n+1) of the dense oracles, refused above the operator cap."""
+    dim = params.d ** (params.n + 1)
+    _check_operator_dim(dim, f"d={params.d}, n={params.n} dense oracle")
+    return dim
 
 
 def protocol_register(d: int, n: int) -> Register:
@@ -150,12 +154,13 @@ def dec_projector_sum(params: ProtocolParams) -> np.ndarray:
     are orthogonal and complete.
     """
     d, n = params.d, params.n
+    dim = oracle_dim(params)
     c = cazac.chu(d).values
-    dim = d ** (n + 1)
+    bell = gates.bell_basis(d)
     out = np.zeros((dim, dim), dtype=complex)
     for k in range(d):
         for l in range(d):
-            b = gates.bell_basis_amplitudes(gates.WeylIndex(d, k, l))
+            b = bell[k * d + l]
             proj = np.outer(b, b.conj())
             corr = gates.x_power(d, k) @ gates.z_power(d, -l)
             tail = kron_all([corr] * (n - 1)) if n >= 2 else np.eye(1, dtype=complex)
@@ -194,7 +199,7 @@ def apply_u_dec(state: StateVector, params: ProtocolParams) -> StateVector:
     rest = [i for i in range(reg.num_wires) if i not in pair]
     locals_ = reg.positions([f"N{j}" for j in range(1, n + 1) if j != t])
     c = cazac.chu(d).values
-    bell = _bell_basis_stack(d)  # row k*d + l is the Bell vector of (k, l)
+    bell = gates.bell_basis(d)  # row k*d + l is the Bell vector of (k, l)
 
     # Bell components of the pair, branch (k, l) scaled by conj(c_k c_l)
     rot_in = np.conj(np.outer(c, c)).reshape(-1, 1) * bell.conj()
@@ -300,11 +305,6 @@ def run_protocol(
     from . import circuits  # imported here: circuits imports this module
 
     d, n, t = params.d, params.n, params.target_party
-    if params.state_dim > STATE_AMPLITUDE_CAP:
-        raise SizeCapError(
-            f"full state vector for d={d}, n={n} needs {params.state_dim} "
-            f"amplitudes > cap {STATE_AMPLITUDE_CAP}"
-        )
     if psi is None:
         psi = random_state(d, seed)
     if psi.register.num_wires != 1 or psi.register.d != d:
@@ -459,24 +459,15 @@ def _check_bell_relay(d, rng, samples):
     return worst
 
 
-def _bell_basis_stack(d) -> np.ndarray:
-    vecs = [
-        gates.bell_basis_amplitudes(gates.WeylIndex(d, k, l))
-        for k in range(d)
-        for l in range(d)
-    ]
-    return np.array(vecs)
-
-
 def _check_bell_basis_orthonormal(d):
-    v = _bell_basis_stack(d)
+    v = gates.bell_basis(d)
     gram = v.conj() @ v.T
     return max_abs_diff(gram, np.eye(d * d))
 
 
 def _check_projector_algebra(d):
     """Pi_a Pi_b = delta_ab Pi_a over all d^4 index pairs."""
-    v = _bell_basis_stack(d)
+    v = gates.bell_basis(d)
     projs = np.einsum("ai,aj->aij", v, v.conj())
     worst = 0.0
     for a in range(d * d):
@@ -488,7 +479,7 @@ def _check_projector_algebra(d):
 
 
 def _check_projector_completeness(d):
-    v = _bell_basis_stack(d)
+    v = gates.bell_basis(d)
     total = np.einsum("ai,aj->ij", v, v.conj())
     return max_abs_diff(total, np.eye(d * d))
 
@@ -550,10 +541,10 @@ def _check_bell_trace_delta(d):
     return worst
 
 
-def _check_encryption_unitary(d, n):
+def _check_encryption_unitary(params):
+    d, n = params.d, params.n
     px = pauli_product("x", d, n)
     pz = pauli_product("z", d, n)
-    params = ProtocolParams(d, n)
     return max(
         is_unitary(v_of_p(px, d)).max_deviation,
         is_unitary(v_of_p(pz, d)).max_deviation,
@@ -561,8 +552,7 @@ def _check_encryption_unitary(d, n):
     )
 
 
-def _check_decryption_unitary(d, n):
-    params = ProtocolParams(d, n)
+def _check_decryption_unitary(params):
     return max(
         is_unitary(dec_projector_sum(params)).max_deviation,
         is_unitary(u_dec_dense(params)).max_deviation,
@@ -580,8 +570,11 @@ def verify_identities(
 
     Statements quantified over arbitrary operators or states get
     ``samples`` seeded random draws; statements quantified over exponent
-    indices are checked exhaustively.
+    indices are checked exhaustively. A (d, n) whose run or dense
+    operators would exceed the size caps is refused before any check.
     """
+    params = ProtocolParams(d, n)
+    oracle_dim(params)
     rng = np.random.default_rng(seed)
     checks = [
         IdentityCheck("ricochet", _check_ricochet(d, rng, samples), tol),
@@ -595,7 +588,7 @@ def verify_identities(
             "partial_trace_product", _check_partial_trace_product(d, rng, samples), tol
         ),
         IdentityCheck("bell_trace_delta", _check_bell_trace_delta(d), tol),
-        IdentityCheck("encryption_unitary", _check_encryption_unitary(d, n), tol),
-        IdentityCheck("decryption_unitary", _check_decryption_unitary(d, n), tol),
+        IdentityCheck("encryption_unitary", _check_encryption_unitary(params), tol),
+        IdentityCheck("decryption_unitary", _check_decryption_unitary(params), tol),
     ]
     return IdentitySuiteReport(d=d, n=n, samples=samples, seed=seed, checks=checks)

@@ -107,6 +107,14 @@ def test_circuit_rejects_control_levels_out_of_range():
     Circuit(Register(3, ("a", "b")), (op,))  # the top level is valid
 
 
+def test_circuit_rejects_diag_phase_count():
+    # a diag with the wrong phase count used to fail only at evaluation
+    op = GateOp(kind="diag", targets=("a",), phases=(0.0, 1.0))
+    with pytest.raises(ValueError, match="diag gate needs 3 phases"):
+        Circuit(Register(3, ("a",)), (op,))
+    Circuit(Register(2, ("a",)), (op,))
+
+
 def test_cpow_op_matches_controlled_power_gate():
     from quditclone import controlled_power, shift_x
 

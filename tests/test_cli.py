@@ -113,6 +113,44 @@ def test_verify_cap_exceeded(capsys):
     assert "cap" in err
 
 
+def test_verify_refuses_whole_range_before_any_check(monkeypatch, capsys):
+    from quditclone import protocol
+
+    def check_ran(*args):
+        raise AssertionError("an identity check ran")
+
+    monkeypatch.setattr(protocol, "_check_ricochet", check_ran)
+    code, out, err = run_cli(capsys, "verify", "--d-range", "2..17")  # 17^3 > 4096
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+
+
+def test_run_beyond_the_old_operator_bound(capsys):
+    # the 17^5-amplitude state fits, though a 17^3-dim operator would not
+    for extra in ((), ("--circuit",)):
+        code, out, _ = run_cli(capsys, "run", "--d", "17", "--n", "2", *extra)
+        assert code == 0
+        assert json.loads(out)["decryption_fidelity"] >= 1 - 1e-10
+    code, _, _ = run_cli(capsys, "circuit-dump", "udec", "--d", "17", "--n", "2")
+    assert code == 0
+
+
+def test_circuit_dump_refuses_what_a_run_cannot_hold(capsys):
+    for builder in ("vpz", "vpx", "udec"):
+        code, out, err = run_cli(capsys, "circuit-dump", builder, "--d", "2", "--n", "11")
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+
+
+def test_run_huge_party_count_is_cap_error(capsys):
+    code, out, err = run_cli(capsys, "run", "--d", "3", "--n", "10000")
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+
+
 def test_counts_default_sweep(tmp_path, capsys):
     out_file = tmp_path / "counts.csv"
     code, _, _ = run_cli(capsys, "counts", "--out", str(out_file))

@@ -19,7 +19,7 @@ from quditclone import (
     x_power,
     z_power,
 )
-from quditclone.gates import bell_amplitudes, omega
+from quditclone.gates import bell_amplitudes, bell_basis, omega
 
 TOL = 1e-10
 DIMS = range(2, 8)
@@ -166,6 +166,17 @@ def test_bell_basis_identity_member():
         assert max_abs_diff(
             bell_basis_state(WeylIndex(d, 0, 0)).amplitudes, bell_amplitudes(d)
         ) == 0
+
+
+def test_bell_basis_matches_kron_definition():
+    # row k*d + l is vec(X^k Z^l)/sqrt d, equal to the Kronecker form exactly
+    for d in DIMS:
+        basis = bell_basis(d)
+        for k in range(d):
+            for l in range(d):
+                w = weyl_displacement(WeylIndex(d, k, l))
+                ref = np.kron(w, np.eye(d)) @ bell_amplitudes(d)
+                assert np.array_equal(basis[k * d + l], ref)
 
 
 def test_bell_basis_orthonormal_d3():

@@ -22,6 +22,7 @@ from quditclone import (
     phase_z,
     swap_gate,
 )
+from quditclone.cazac import chu
 
 TOL = 1e-10
 
@@ -224,6 +225,15 @@ def test_state_vector_validation():
         StateVector(reg, np.array([1.0, 0.0, 0.0]))  # wrong size
     with pytest.raises(SizeCapError):
         StateVector(Register(2, tuple(f"w{i}" for i in range(23))), np.zeros(2))
+
+
+def test_qudit_dimension_cap():
+    # a d x d gate or grid is operator-sized: refused before allocating
+    Register(4096, ("a",))
+    with pytest.raises(SizeCapError):
+        Register(4097, ("a",))
+    with pytest.raises(SizeCapError):
+        chu(4097)
 
 
 def test_density_matrix_validation():

@@ -373,6 +373,24 @@ def test_run_protocol_state_cap():
         run_protocol(ProtocolParams(2, 11), seed=0)  # 2^23 amplitudes
 
 
+def test_protocol_params_admits_what_a_run_can_hold():
+    # a run holds the d^(2n+1)-amplitude state and d^2 x d^2 pair gates,
+    # never a d^(n+1)-dim operator; a huge n is refused without forming
+    # the power
+    for d, n in ((17, 2), (21, 2), (64, 1), (2, 10)):
+        ProtocolParams(d, n)
+    for d, n in ((22, 2), (65, 1), (2, 11), (3, 10 ** 8)):
+        with pytest.raises(SizeCapError, match="cap"):
+            ProtocolParams(d, n)
+
+
+def test_dense_oracles_refuse_beyond_the_operator_cap():
+    params = ProtocolParams(17, 2)  # a run fits; a 17^3 = 4913-dim operator does not
+    for oracle in (dec_projector_sum, u_dec_dense, u_enc):
+        with pytest.raises(SizeCapError):
+            oracle(params)
+
+
 def test_run_protocol_rejects_multiwire_input():
     psi = basis_state(Register(2, ("A", "B")), (0, 0))
     with pytest.raises(ValueError):
