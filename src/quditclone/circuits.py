@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cazac, gates
-from .linalg import Register, StateVector, _apply_on_axes, _check_operator_dim
+from .linalg import Register, StateVector, _apply_on_axes, _check_dim, _check_operator_dim
 from .protocol import ProtocolParams
 
 KINDS = (
@@ -373,8 +373,9 @@ def gate_counts(d: int, n: int) -> GateCounts:
     its 8(d-1) two-qudit upper bound; that expansion is a cost model
     only and is never executed.
     """
-    if d < 2 or n < 1:
-        raise ValueError(f"need d >= 2 and n >= 1, got d={d}, n={n}")
+    _check_dim(d)
+    if n < 1:
+        raise ValueError(f"party count must be >= 1, got {n}")
     ne2q = 4 * n
     ne1q = 2 * n + 2 * (d - 1)
     nd1q = 2 + (2 * n - 1) * d * d * (d - 1)

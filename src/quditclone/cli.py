@@ -15,15 +15,13 @@ from .cazac import autocorr_csv, autocorr2d
 from .linalg import DEFAULT_TOL, SizeCapError
 
 
-def _parse_range(text: str) -> list[int]:
-    """'2..5' -> [2, 3, 4, 5]; a bare integer is a one-element range."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_range(text: str) -> range:
+    """'2..5' -> range(2, 6), '7' -> range(7, 8); lazy, so no huge range is listed."""
+    lo, sep, hi = text.partition("..")
+    lo, hi = int(lo), int(hi if sep else lo)
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _parse_set(text: str) -> list[int]:

@@ -6,6 +6,8 @@ Conventions, with w = exp(2*pi*i/d):
     F|k> = (1/sqrt d) sum_j w^{jk} |j>
 so that X = F^dag Z F. Negative powers are taken as the matching
 positive powers (X^-m = X^{d-m}), exact by the order-d group structure.
+
+``weyl_table`` is the one build of all d^2 X^k Z^l; ``bell_basis`` scales it.
 """
 
 from dataclasses import dataclass
@@ -93,9 +95,8 @@ def swap_gate(d: int) -> np.ndarray:
     """SWAP|j>|k> = |k>|j>."""
     _check_dim(d)
     s = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            s[k * d + j, j * d + k] = 1.0
+    j, k = np.divmod(np.arange(d * d), d)
+    s[k * d + j, j * d + k] = 1.0
     return s
 
 
@@ -133,15 +134,25 @@ def weyl_displacement(idx: WeylIndex) -> np.ndarray:
     return x_power(idx.d, idx.k) @ z_power(idx.d, idx.l)
 
 
-def bell_basis(d: int) -> np.ndarray:
-    """Bell-basis vectors (X^k Z^l x I)|Phi_d> = vec(X^k Z^l)/sqrt d, row k*d + l."""
+def weyl_row(d: int, k, l):
+    """Row of X^k Z^l in ``weyl_table(d)``; exponents reduce mod d (l = -m is Z^-m)."""
+    return (k % d) * d + l % d
+
+
+def weyl_table(d: int) -> np.ndarray:
+    """All d^2 displacements X^k Z^l as a (d^2, d, d) array, X^k Z^l at row k*d + l."""
     _check_dim(d)
     j = np.arange(d)
-    phases = omega(d) ** np.outer(j, j)  # [l, p] = w^{pl}, as in z_power
     k, l, p = j[:, None, None], j[None, :, None], j[None, None, :]
     out = np.zeros((d, d, d, d), dtype=complex)
-    out[k, l, (p + k) % d, p] = phases[l, p]
-    return np.multiply(out, 1 / np.sqrt(d), out=out).reshape(d * d, d * d)
+    out[k, l, (p + k) % d, p] = omega(d) ** (l * p)  # X^k Z^l |p> = w^{pl} |p+k>
+    return out.reshape(d * d, d, d)
+
+
+def bell_basis(d: int) -> np.ndarray:
+    """Bell-basis vectors (X^k Z^l x I)|Phi_d> = vec(X^k Z^l)/sqrt d, row k*d + l."""
+    out = weyl_table(d).reshape(d * d, d * d)
+    return np.multiply(out, 1 / np.sqrt(d), out=out)
 
 
 def bell_basis_amplitudes(idx: WeylIndex) -> np.ndarray:

@@ -138,12 +138,9 @@ def c_gate(d: int) -> np.ndarray:
     """
     f2 = gates.fourier(d)
     f2 = f2 @ f2
-    ctrl = np.zeros((d * d, d * d), dtype=complex)
-    for c in range(d):
-        proj = np.zeros((d, d), dtype=complex)
-        proj[c, c] = 1.0
-        ctrl += np.kron(gates.x_power(d, 2 * c), proj)
-    return ctrl @ np.kron(np.eye(d), f2)
+    a, c = np.divmod(np.arange(d * d), d)
+    # control permutation |a, c> -> |a + 2c, c>: row (a, c) reads row (a - 2c, c)
+    return np.kron(np.eye(d), f2)[((a - 2 * c) % d) * d + c]
 
 
 def dec_projector_sum(params: ProtocolParams) -> np.ndarray:
@@ -157,12 +154,13 @@ def dec_projector_sum(params: ProtocolParams) -> np.ndarray:
     dim = oracle_dim(params)
     c = cazac.chu(d).values
     bell = gates.bell_basis(d)
+    weyl = gates.weyl_table(d)
     out = np.zeros((dim, dim), dtype=complex)
     for k in range(d):
         for l in range(d):
             b = bell[k * d + l]
             proj = np.outer(b, b.conj())
-            corr = gates.x_power(d, k) @ gates.z_power(d, -l)
+            corr = weyl[gates.weyl_row(d, k, -l)]
             tail = kron_all([corr] * (n - 1)) if n >= 2 else np.eye(1, dtype=complex)
             out += np.conj(c[k] * c[l]) * np.kron(proj, tail)
     return out
@@ -175,10 +173,13 @@ def u_dec_dense(params: ProtocolParams) -> np.ndarray:
     Bell-projected conditional-Weyl sum; the inverse coefficients are
     conjugates, exact since every c_kl has unit modulus.
     """
-    d, n = params.d, params.n
-    pair = gates.swap_gate(d) @ c_gate(d)
-    head = kron(pair, np.eye(d ** (n - 1)))
-    return head @ dec_projector_sum(params)
+    return _dec_head(params) @ dec_projector_sum(params)
+
+
+def _dec_head(params: ProtocolParams) -> np.ndarray:
+    """Head of ``u_dec_dense``: SWAP . C on the (S_t, N_t) pair, identity elsewhere."""
+    pair = gates.swap_gate(params.d) @ c_gate(params.d)
+    return kron(pair, np.eye(params.d ** (params.n - 1)))
 
 
 def apply_u_dec(state: StateVector, params: ProtocolParams) -> StateVector:
@@ -188,8 +189,9 @@ def apply_u_dec(state: StateVector, params: ProtocolParams) -> StateVector:
     wires (S_t, N_t, N_j for j != t): the pair is rotated into its Bell
     components, branch (k, l) is scaled by conj(c_k c_l) and gets
     X^k Z^-l on every other N_j, then the pair is rotated back and SWAP . C
-    acts on it. No operator beyond d^2 x d^2 is formed. The input state
-    is not modified.
+    acts on it, SWAP as an exchange of the pair's axes. No operator beyond
+    d^2 x d^2 is formed, and no product of two. The input state is not
+    modified.
     """
     d, n, t = params.d, params.n, params.target_party
     reg = state.register
@@ -208,19 +210,19 @@ def apply_u_dec(state: StateVector, params: ProtocolParams) -> StateVector:
     x = (rot_in @ x).reshape([d * d] + [d] * len(rest))
 
     # X^k Z^-l on each remaining local wire, all d^2 branches in one batch
-    corr = np.array(
-        [gates.x_power(d, k) @ gates.z_power(d, -l) for k in range(d) for l in range(d)]
-    )
+    if locals_:
+        weyl = gates.weyl_table(d)
+        corr = weyl[[gates.weyl_row(d, k, -l) for k in range(d) for l in range(d)]]
     for p in locals_:
         ax = 1 + rest.index(p)
         y = np.moveaxis(x, ax, 1)
         y = (corr @ y.reshape(d * d, d, -1)).reshape(y.shape)
         x = np.moveaxis(y, 1, ax)
 
-    # back out of the Bell basis, then SWAP . C on the pair
-    rot_out = gates.swap_gate(d) @ c_gate(d) @ bell.T
-    x = (rot_out @ x.reshape(d * d, -1)).reshape([d] * reg.num_wires)
-    return StateVector(reg, x.transpose(np.argsort(perm)).reshape(-1))
+    # back out of the Bell basis, apply C to the pair, then SWAP its two axes
+    x = (c_gate(d) @ (bell.T @ x.reshape(d * d, -1))).reshape([d] * reg.num_wires)
+    swapped = [pair[1], pair[0]] + rest  # the wire each axis of x holds after SWAP
+    return StateVector(reg, x.transpose(np.argsort(swapped)).reshape(-1))
 
 
 @dataclass
@@ -444,15 +446,15 @@ def _check_bell_relay(d, rng, samples):
     bell = gates.bell_amplitudes(d)
     eye = np.eye(d)
     cg = np.kron(eye, c_gate(d))
+    weyl = gates.weyl_table(d)
+    pairs = [np.kron(op, eye) @ bell for op in weyl]
     worst = 0.0
     for _ in range(samples):
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         psi = v / np.linalg.norm(v)
         lhs = np.zeros(d ** 3, dtype=complex)
-        for m in range(d):
-            for n_ in range(d):
-                op = gates.x_power(d, m) @ gates.z_power(d, n_)
-                lhs += np.kron(op @ psi, np.kron(op, eye) @ bell)
+        for op, pair in zip(weyl, pairs):
+            lhs += np.kron(op @ psi, pair)
         lhs = cg @ (lhs / d)
         rhs = np.kron(bell, psi)
         worst = max(worst, max_abs_diff(lhs, rhs))
@@ -494,13 +496,11 @@ def _check_gauss_sum(d):
 def _check_bell_pair_invariance(d):
     """(X^k Z^-l x X^k Z^l)|Phi> = |Phi> for every exponent pair."""
     bell = gates.bell_amplitudes(d)
+    weyl = gates.weyl_table(d)
     worst = 0.0
     for k in range(d):
         for l in range(d):
-            op = np.kron(
-                gates.x_power(d, k) @ gates.z_power(d, -l),
-                gates.x_power(d, k) @ gates.z_power(d, l),
-            )
+            op = np.kron(weyl[gates.weyl_row(d, k, -l)], weyl[gates.weyl_row(d, k, l)])
             worst = max(worst, max_abs_diff(op @ bell, bell))
     return worst
 
@@ -526,11 +526,7 @@ def _check_bell_trace_delta(d):
     """Tr((X^k Z^l x I)|Phi><Phi|(Z^-n X^-m x I)) = delta_km delta_ln."""
     bell = gates.bell_amplitudes(d)
     eye = np.eye(d)
-    ops = [
-        np.kron(gates.x_power(d, k) @ gates.z_power(d, l), eye)
-        for k in range(d)
-        for l in range(d)
-    ]
+    ops = [np.kron(op, eye) for op in gates.weyl_table(d)]
     worst = 0.0
     for a, oa in enumerate(ops):
         ma = np.outer(oa @ bell, bell.conj())
@@ -543,20 +539,14 @@ def _check_bell_trace_delta(d):
 
 def _check_encryption_unitary(params):
     d, n = params.d, params.n
-    px = pauli_product("x", d, n)
-    pz = pauli_product("z", d, n)
-    return max(
-        is_unitary(v_of_p(px, d)).max_deviation,
-        is_unitary(v_of_p(pz, d)).max_deviation,
-        is_unitary(u_enc(params)).max_deviation,
-    )
+    vx, vz = (v_of_p(pauli_product(axis, d, n), d) for axis in "xz")
+    # vx @ vz is u_enc, built from the same two factors
+    return max(is_unitary(m).max_deviation for m in (vx, vz, vx @ vz))
 
 
 def _check_decryption_unitary(params):
-    return max(
-        is_unitary(dec_projector_sum(params)).max_deviation,
-        is_unitary(u_dec_dense(params)).max_deviation,
-    )
+    a = dec_projector_sum(params)
+    return max(is_unitary(m).max_deviation for m in (a, _dec_head(params) @ a))
 
 
 def verify_identities(

@@ -126,6 +126,25 @@ def test_verify_refuses_whole_range_before_any_check(monkeypatch, capsys):
     assert "cap" in err
 
 
+def test_huge_range_is_refused_without_listing_it(capsys):
+    from quditclone.cli import _parse_range
+
+    # checked first: a parser that lists its range would allocate 10^9 entries below
+    assert isinstance(_parse_range("2..3"), range)
+    assert len(_parse_range("2..1000000000")) == 999_999_999
+    code, out, err = run_cli(capsys, "verify", "--d-range", "2..1000000000")
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+
+
+def test_counts_refuses_dimension_over_cap(capsys):
+    code, out, err = run_cli(capsys, "counts", "--d-range", "4097..4097")
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+
+
 def test_run_beyond_the_old_operator_bound(capsys):
     # the 17^5-amplitude state fits, though a 17^3-dim operator would not
     for extra in ((), ("--circuit",)):

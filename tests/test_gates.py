@@ -19,7 +19,7 @@ from quditclone import (
     x_power,
     z_power,
 )
-from quditclone.gates import bell_amplitudes, bell_basis, omega
+from quditclone.gates import bell_amplitudes, bell_basis, omega, weyl_row, weyl_table
 
 TOL = 1e-10
 DIMS = range(2, 8)
@@ -177,6 +177,21 @@ def test_bell_basis_matches_kron_definition():
                 w = weyl_displacement(WeylIndex(d, k, l))
                 ref = np.kron(w, np.eye(d)) @ bell_amplitudes(d)
                 assert np.array_equal(basis[k * d + l], ref)
+
+
+def test_weyl_table_matches_displacements():
+    # row k*d + l is X^k Z^l exactly; Z^-l is read at column (-l) mod d
+    for d in range(2, 10):
+        table = weyl_table(d)
+        assert table.shape == (d * d, d, d)
+        for k in range(d):
+            for l in range(d):
+                w = weyl_displacement(WeylIndex(d, k, l))
+                assert np.array_equal(table[k * d + l], w)
+                assert weyl_row(d, k, -l) == k * d + (-l) % d
+                assert np.array_equal(
+                    table[weyl_row(d, k, -l)], x_power(d, k) @ z_power(d, -l)
+                )
 
 
 def test_bell_basis_orthonormal_d3():

@@ -13,6 +13,7 @@ from quditclone import (
     dec_projector_sum,
     embed_apply,
     exp_generalization,
+    fourier,
     is_unitary,
     kron_all,
     max_abs_diff,
@@ -158,6 +159,18 @@ def test_c_gate_unitary():
         assert is_unitary(c_gate(d), TOL)
 
 
+def test_c_gate_matches_paper_product():
+    # C = (sum_c X^{2c} x |c><c|) . (I x F^2), multiplied out as written
+    for d in range(2, 10):
+        f2 = fourier(d) @ fourier(d)
+        ctrl = np.zeros((d * d, d * d), dtype=complex)
+        for c in range(d):
+            proj = np.zeros((d, d), dtype=complex)
+            proj[c, c] = 1.0
+            ctrl += np.kron(x_power(d, 2 * c), proj)
+        assert np.array_equal(c_gate(d), ctrl @ np.kron(np.eye(d), f2)), d
+
+
 def test_c_gate_d2_is_identity():
     assert max_abs_diff(c_gate(2), np.eye(4)) < 1e-12
 
@@ -216,7 +229,7 @@ def _random_register_state(rng, d, n):
 
 def test_apply_u_dec_matches_dense_operator():
     rng = np.random.default_rng(31)
-    for d, n_max in [(2, 4), (3, 3), (4, 2), (5, 2), (6, 2)]:
+    for d, n_max in [(2, 4), (3, 3), (4, 2), (5, 2), (6, 2), (16, 1)]:
         for n in range(1, n_max + 1):
             for t in range(1, n + 1):
                 params = ProtocolParams(d, n, target_party=t)
@@ -417,3 +430,23 @@ def test_verify_identities_report_shape():
     names = {c["name"] for c in data["checks"]}
     assert {"ricochet", "gauss_sum", "bell_trace_delta"} <= names
     assert all(isinstance(c["max_deviation"], float) for c in data["checks"])
+
+
+def test_verify_builds_each_oracle_once(monkeypatch):
+    from quditclone import protocol
+
+    calls = {"v_of_p": 0, "dec_projector_sum": 0}
+
+    def counted(name):
+        real = getattr(protocol, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(protocol, name, counted(name))
+    assert verify_identities(3).passed
+    assert calls == {"v_of_p": 2, "dec_projector_sum": 1}
