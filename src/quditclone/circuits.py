@@ -9,16 +9,26 @@ level j); that is how the level-controlled gates of the decryption
 circuit are expressed. ``apply_circuit`` runs a circuit on a state
 vector, which is how the protocol executes; ``circuit_to_unitary``
 expands one into a dense matrix for comparison with the paper's
-operator formulas.
+operator formulas. Both evaluate the same way: every gate kind except
+the two Fourier gates is monomial (a permutation of basis states times
+phases), so each maximal run of such gates is compiled into one gather
+over the wires it touches plus one phase multiply, and each Fourier
+gate is one matrix product on its wire.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import cazac, gates
-from .linalg import Register, StateVector, _apply_on_axes, _check_dim, _check_operator_dim
+from . import cazac, gates, linalg
+from .linalg import (
+    Register,
+    StateVector,
+    _apply_on_axes,
+    _check_dim,
+    _check_operator_dim,
+)
 from .protocol import ProtocolParams
 
 KINDS = (
@@ -120,59 +130,164 @@ class Circuit:
         return json.dumps([op.to_dict() for op in self.ops], indent=2, sort_keys=True)
 
 
-def _base_matrix(op: GateOp, d: int) -> np.ndarray:
-    if op.kind == "xpow":
-        return gates.x_power(d, op.power)
-    if op.kind == "zpow":
-        return gates.z_power(d, op.power)
-    if op.kind == "fourier":
-        return gates.fourier(d)
-    if op.kind == "fourier_dag":
-        return gates.fourier(d).conj().T
-    if op.kind == "diag":
-        return np.diag(np.exp(1j * np.array(op.phases)))
-    if op.kind == "swap":
-        return gates.swap_gate(d)
-    if op.kind == "scalar":
-        return np.full((1, 1), np.exp(1j * op.phase))
-    raise ValueError(f"no base matrix for kind {op.kind!r}")
+# Every kind but these two is monomial, a permutation of basis states times
+# phases, so a run of them composes into one gather.
+_DENSE_KINDS = frozenset(("fourier", "fourier_dag"))
 
 
-def _blocks(op: GateOp, d: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """(control levels, matrix) pairs that together make up one gate.
+def _runs(ops, d: int) -> list[tuple[dict, list[GateOp]]]:
+    """Split ``ops`` into passes: maximal runs of monomial gates, each Fourier gate alone.
 
-    Each matrix acts on the gate's targets inside the slice where the
-    controls hold those levels; every other slice is left alone. A
-    controlled power fires base^(j*power) on each control level j.
+    Each pass is (fixed, gates): ``fixed`` maps the control wires that
+    every gate of the pass holds at the same level to that level, and the
+    gates come without those controls, to act on that slice only. A run
+    ends before a gate that would take its joint dimension, d to the
+    number of wires it touches outside ``fixed``, over ``OPERATOR_DIM_CAP``.
     """
-    if op.kind == "cpow":
-        power = gates.x_power if op.base == "x" else gates.z_power
-        return [((j,), power(d, j * op.power)) for j in range(1, d)]
-    return [(op.control_levels, _base_matrix(op, d))]
+    runs: list[list] = []  # [fixed (wire, level) pairs, gates]
+    wires: set[str] = set()
+    for op in ops:
+        levels = set(zip(op.controls, op.control_levels)) if op.control_levels else set()
+        if runs and _DENSE_KINDS.isdisjoint((op.kind, runs[-1][1][0].kind)):
+            fixed = runs[-1][0] & levels if levels else levels
+            joint = wires | set(op.wires)
+            free = joint - {w for w, _ in fixed} if fixed else joint
+            if d ** len(free) <= linalg.OPERATOR_DIM_CAP:
+                runs[-1][0] = fixed
+                runs[-1][1].append(op)
+                wires = joint
+                continue
+        runs.append([levels, [op]])
+        wires = set(op.wires)
+    return [(dict(fixed), [_without(op, fixed) for op in run] if fixed else run)
+            for fixed, run in runs]
 
 
-def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register) -> np.ndarray:
-    """Left-multiply the circuit's gates, in order, into ``t``.
+def _without(op: GateOp, fixed: set) -> GateOp:
+    """``op`` without the (control wire, level) pairs in ``fixed``."""
+    pairs = list(zip(op.controls, op.control_levels))
+    kept = [i for i, pair in enumerate(pairs) if pair not in fixed]
+    return replace(op, controls=tuple(op.controls[i] for i in kept),
+                   control_levels=tuple(op.control_levels[i] for i in kept))
+
+
+def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
+    """``v`` shaped to broadcast along one axis of an ``ndim``-axis array."""
+    return v.reshape([-1 if i == axis else 1 for i in range(ndim)])
+
+
+def _compile_run(ops, wires, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather form of a monomial run on ``wires``: out[y] = g[y] * v[src[y]].
+
+    ``src`` and ``g`` are flat over the wires' joint index (big-endian).
+    Each gate rolls, swaps or phases them on its control slice only, so
+    no gate costs more than d^len(wires) entries.
+    """
+    k = len(wires)
+    axis = {w: i for i, w in enumerate(wires)}
+    src = np.arange(d ** k).reshape((d,) * k)
+    g = np.ones((d,) * k, dtype=complex)
+    j = np.arange(d)
+    grid = None  # open grid of the joint index, made for the first cpow
+    for op in ops:
+        ix: list = [slice(None)] * k
+        for w, lv in zip(op.controls, op.control_levels):
+            ix[axis[w]] = lv
+        # views (the Ellipsis keeps a fully indexed slice 0-d), so updates
+        # land in src and g; the level-indexed axes drop out of the slice,
+        # which shifts the target axes down
+        s, ph = src[(*ix, ...)], g[(*ix, ...)]
+        tax = [axis[w] - sum(not isinstance(i, slice) for i in ix[:axis[w]])
+               for w in op.targets]
+        if op.kind == "xpow":
+            shift = (j - op.power) % d
+            s[...] = s.take(shift, axis=tax[0])
+            ph[...] = ph.take(shift, axis=tax[0])
+        elif op.kind == "zpow":
+            ph *= _along(gates.z_phases(d, op.power), tax[0], ph.ndim)
+        elif op.kind == "diag":
+            ph *= _along(np.exp(1j * np.array(op.phases)), tax[0], ph.ndim)
+        elif op.kind == "scalar":
+            ph *= np.exp(1j * op.phase)
+        elif op.kind == "swap":
+            s[...] = s.swapaxes(*tax).copy()
+            ph[...] = ph.swapaxes(*tax).copy()
+        else:  # cpow, no level so s is src: base^(j*power) on control level j
+            grid = grid or [_along(j, i, k) for i in range(k)]
+            rows, cols = grid[axis[op.controls[0]]], grid[tax[0]]
+            if op.base == "x":
+                idx = grid.copy()
+                idx[tax[0]] = (cols - rows * op.power) % d
+                src, g = src[tuple(idx)], g[tuple(idx)]
+            else:
+                g *= gates.omega(d) ** ((rows * cols * op.power) % d)
+    return src.reshape(-1), g.reshape(-1)
+
+
+def _gather(t: np.ndarray, positions, src: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """One pass out[y] = g[y] * t[src[y]] over the joint index of the sorted ``positions``."""
+    if not positions:
+        return t * g[0]
+    k, p0 = len(positions), positions[0]
+    d = t.shape[p0]
+    # the run's axes side by side (already so for the protocol circuits),
+    # so that their joint index is one axis of a reshape
+    lead = range(p0, p0 + k)
+    apart = positions[-1] - p0 != k - 1
+    x = np.moveaxis(t, positions, lead) if apart else t
+    out = np.take(np.ascontiguousarray(x).reshape(d ** p0, d ** k, -1), src, axis=1)
+    out *= g[:, None]
+    out = out.reshape(x.shape)
+    return np.moveaxis(out, lead, positions) if apart else out
+
+
+def _pass(t: np.ndarray, run: list[GateOp], axes: list[str], d: int,
+          dense: dict) -> np.ndarray:
+    """Apply one pass to ``t``, whose axes hold the wires ``axes`` in order.
+
+    ``dense`` maps each Fourier kind to its d x d matrix; it is filled
+    on first use.
+    """
+    op = run[0]
+    if op.kind in _DENSE_KINDS:
+        if not dense:
+            f = gates.fourier(d)
+            dense.update(fourier=f, fourier_dag=f.conj().T)
+        return _apply_on_axes(t, dense[op.kind], [axes.index(op.targets[0])])
+    wires = sorted({w for op in run for w in op.wires}, key=axes.index)
+    src, g = _compile_run(run, wires, d)
+    return _gather(t, [axes.index(w) for w in wires], src, g)
+
+
+def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register, owned: bool) -> np.ndarray:
+    """Left-multiply the circuit's gates, in order, into ``t``; return the result.
 
     ``t`` has one axis per wire of ``reg``, optionally followed by a
-    column axis; a controlled gate touches only its control slice, which
-    it writes in place, so ``t`` may be modified. The result is returned.
+    column axis; it is modified only if ``owned``. Each maximal run of
+    monomial gates (``_runs``) is one gather-and-phase pass over the
+    wires it touches; each Fourier gate is one matmul. The passes see
+    ``t`` with its axes reordered so that the circuit's wires lead, in
+    circuit order, and a run over them gathers along one axis. A run
+    whose gates all hold some control wires at the same levels acts on
+    that slice only, written in place.
     """
-    for op in circuit.ops:
-        cpos = reg.positions(op.controls)
-        # integer-indexing the control axes drops them from the slice
-        tpos = [p - sum(c < p for c in cpos) for p in reg.positions(op.targets)]
-        for levels, mat in _blocks(op, reg.d):
-            if not levels:
-                # uncontrolled: take the new array, no full-state write-back
-                t = _apply_on_axes(t, mat, tpos)
-                continue
-            ix = [slice(None)] * t.ndim
-            for p, lv in zip(cpos, levels):
-                ix[p] = lv
-            sub = t[tuple(ix)]
-            sub[...] = _apply_on_axes(sub, mat, tpos)
-    return t
+    d = reg.d
+    dense: dict = {}
+    axes = list(circuit.register.wires)
+    axes += [w for w in reg.wires if w not in axes]
+    perm = list(reg.positions(axes)) + list(range(reg.num_wires, t.ndim))
+    if perm != sorted(perm):
+        t, owned = np.ascontiguousarray(t.transpose(perm)), True
+    for fixed, run in _runs(circuit.ops, d):
+        if not fixed:
+            t = _pass(t, run, axes, d, dense)
+            owned = True
+            continue
+        if not owned:
+            t, owned = t.copy(), True
+        sub = t[(*(fixed.get(w, slice(None)) for w in axes), ...)]  # a view
+        sub[...] = _pass(sub, run, [w for w in axes if w not in fixed], d, dense)
+    return t.transpose(np.argsort(perm))
 
 
 def circuit_to_unitary(circuit: Circuit) -> np.ndarray:
@@ -181,7 +296,7 @@ def circuit_to_unitary(circuit: Circuit) -> np.ndarray:
     dim = reg.dim
     _check_operator_dim(dim, "circuit register")
     t = np.eye(dim, dtype=complex).reshape([reg.d] * reg.num_wires + [dim])
-    return _apply_ops(t, circuit, reg).reshape(dim, dim)
+    return _apply_ops(t, circuit, reg, owned=True).reshape(dim, dim)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -196,8 +311,9 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"circuit dimension {circuit.register.d} does not match the state's {reg.d}"
         )
     reg.positions(circuit.register.wires)  # raises on a wire the state lacks
-    t = _apply_ops(state.tensor().copy(), circuit, reg)
-    return StateVector(reg, t)
+    t = state.tensor()
+    out = _apply_ops(t, circuit, reg, owned=False)
+    return StateVector(reg, out.copy() if out is t else out)
 
 
 def q_entries(d: int) -> np.ndarray:

@@ -8,6 +8,7 @@ is passed, since they would break byte-identical output.
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__, circuits, protocol
@@ -28,6 +29,11 @@ def _parse_set(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {tol}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -41,6 +47,7 @@ def _emit_json(obj, out: str | None) -> None:
 
 
 def cmd_verify(args) -> int:
+    _check_tol(args.tol)
     d_values = _parse_range(args.d_range)
     for d in d_values:  # refuse the whole range before any check runs
         protocol.oracle_dim(protocol.ProtocolParams(d, args.n))
@@ -66,6 +73,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _check_tol(args.tol)
     params = protocol.ProtocolParams(args.d, args.n, target_party=args.target)
     report = protocol.run_protocol(
         params,

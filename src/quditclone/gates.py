@@ -48,10 +48,15 @@ def x_power(d: int, k: int) -> np.ndarray:
     return m
 
 
+def z_phases(d: int, l: int) -> np.ndarray:
+    """Diagonal of Z^l: w^(k*l) for k = 0..d-1, the exponent reduced mod d."""
+    _check_dim(d)
+    return omega(d) ** (np.arange(d) * (l % d))
+
+
 def z_power(d: int, l: int) -> np.ndarray:
     """Z^l with the exponent reduced mod d."""
-    _check_dim(d)
-    return np.diag(omega(d) ** (np.arange(d) * (l % d)))
+    return np.diag(z_phases(d, l))
 
 
 def controlled_power(u: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:

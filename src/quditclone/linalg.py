@@ -6,6 +6,7 @@ wires (first wire = most significant base-d digit). All functions are
 pure; the small dataclasses below are immutable after construction.
 """
 
+import math
 from dataclasses import dataclass, field, InitVar
 
 import numpy as np
@@ -205,12 +206,24 @@ def product_state(register: Register, parts) -> StateVector:
     return StateVector(register, amps)
 
 
+# Below this many trailing amplitudes a batched single-axis product is slower
+# than one product on the transposed tensor.
+_BATCHED_MIN_TRAIL = 64
+
+
 def _apply_on_axes(tensor: np.ndarray, op: np.ndarray, positions) -> np.ndarray:
     """Contract ``op`` against the given axes of an amplitude tensor.
 
     ``tensor`` may carry extra trailing axes (e.g. a column axis when the
     target is a matrix); only the listed axes are transformed.
     """
+    if len(positions) == 1 and tensor.flags.c_contiguous:
+        p = positions[0]
+        lead, trail = math.prod(tensor.shape[:p]), math.prod(tensor.shape[p + 1:])
+        if trail >= _BATCHED_MIN_TRAIL:
+            # one matrix product per leading index, on contiguous blocks
+            x = tensor.reshape(lead, tensor.shape[p], trail)
+            return np.matmul(op, x).reshape(tensor.shape)
     # bring the listed axes to the front, act with one matrix product,
     # then undo the permutation
     perm = list(positions) + [i for i in range(tensor.ndim) if i not in positions]

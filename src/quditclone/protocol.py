@@ -45,7 +45,7 @@ class ProtocolParams:
     """Dimension d, party count n and the share receiving the state.
 
     Admits exactly what a run can hold: a d^(2n+1)-amplitude state and the
-    d^2 x d^2 pair gates of decryption. Dense oracles cap their own size.
+    d^2 x d^2 pair density matrices it scores. Dense oracles cap their own size.
     """
 
     d: int
@@ -62,7 +62,7 @@ class ProtocolParams:
             )
         what = f"protocol run for d={self.d}, n={self.n}"
         _check_state_size(self.d, 2 * self.n + 1, what)
-        _check_operator_dim(self.d * self.d, f"{what}: pair gate")
+        _check_operator_dim(self.d * self.d, f"{what}: pair density matrix")
 
 
 def oracle_dim(params: ProtocolParams) -> int:
@@ -189,9 +189,11 @@ def apply_u_dec(state: StateVector, params: ProtocolParams) -> StateVector:
     wires (S_t, N_t, N_j for j != t): the pair is rotated into its Bell
     components, branch (k, l) is scaled by conj(c_k c_l) and gets
     X^k Z^-l on every other N_j, then the pair is rotated back and SWAP . C
-    acts on it, SWAP as an exchange of the pair's axes. No operator beyond
-    d^2 x d^2 is formed, and no product of two. The input state is not
-    modified.
+    acts on it. The Bell vector of (k, l) is vec(X^k Z^l)/sqrt d, so each
+    rotation is a gather of the pair's shifted diagonals and a d-point
+    DFT; C and SWAP are permutations of the pair's index. Besides the state,
+    only d x d matrices are formed, and for n >= 2 the d^2 corrections
+    X^k Z^-l. The input state is not modified.
     """
     d, n, t = params.d, params.n, params.target_party
     reg = state.register
@@ -201,13 +203,16 @@ def apply_u_dec(state: StateVector, params: ProtocolParams) -> StateVector:
     rest = [i for i in range(reg.num_wires) if i not in pair]
     locals_ = reg.positions([f"N{j}" for j in range(1, n + 1) if j != t])
     c = cazac.chu(d).values
-    bell = gates.bell_basis(d)  # row k*d + l is the Bell vector of (k, l)
+    f = gates.fourier(d)  # f[l, c] = w^(lc) / sqrt d
+    j = np.arange(d)
+    k, col = j[:, None], j[None, :]
 
-    # Bell components of the pair, branch (k, l) scaled by conj(c_k c_l)
-    rot_in = np.conj(np.outer(c, c)).reshape(-1, 1) * bell.conj()
-    perm = list(pair) + rest
-    x = state.tensor().transpose(perm).reshape(d * d, -1)
-    x = (rot_in @ x).reshape([d * d] + [d] * len(rest))
+    # Bell component (k, l) of pair (a, c) is (1/sqrt d) sum_c w^(-lc) x[c + k, c]:
+    # gather diagonal k, DFT over c, scale by conj(c_k c_l)
+    x = state.tensor().transpose(list(pair) + rest).reshape(d, d, -1)
+    x = np.matmul(f.conj(), x[(col + k) % d, col])
+    x *= np.conj(np.outer(c, c))[:, :, None]
+    x = x.reshape([d * d] + [d] * len(rest))
 
     # X^k Z^-l on each remaining local wire, all d^2 branches in one batch
     if locals_:
@@ -219,8 +224,11 @@ def apply_u_dec(state: StateVector, params: ProtocolParams) -> StateVector:
         y = (corr @ y.reshape(d * d, d, -1)).reshape(y.shape)
         x = np.moveaxis(y, 1, ax)
 
-    # back out of the Bell basis, apply C to the pair, then SWAP its two axes
-    x = (c_gate(d) @ (bell.T @ x.reshape(d * d, -1))).reshape([d] * reg.num_wires)
+    # back out of the Bell basis: pair (a, c) reads e[a - c, c], the inverse
+    # DFT of diagonal a - c; then C, |a, c> -> |a - 2c, -c>, so that (a, c)
+    # reads e[a - c, -c]; then SWAP exchanges the pair's two axes
+    e = np.matmul(f, x.reshape(d, d, -1))
+    x = e[(k - col) % d, (-col) % d].reshape([d] * reg.num_wires)
     swapped = [pair[1], pair[0]] + rest  # the wire each axis of x holds after SWAP
     return StateVector(reg, x.transpose(np.argsort(swapped)).reshape(-1))
 

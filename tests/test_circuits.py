@@ -31,13 +31,15 @@ from quditclone import (
     q_gate,
     tally_gates,
     u_dec_dense,
+    u_enc,
     v_of_p,
     x_power,
     z_power,
 )
 from quditclone.cazac import chu
-from quditclone.circuits import _tbar_dag_ops, _tbar_ops
+from quditclone.circuits import _runs, _tbar_dag_ops, _tbar_ops
 from quditclone.gates import WeylIndex, bell_basis_amplitudes
+from quditclone.linalg import OPERATOR_DIM_CAP
 
 TOL = 1e-10
 
@@ -297,6 +299,40 @@ def test_apply_circuit_matches_embedded_unitary():
             got = apply_circuit(state, circ)
             want = embed_apply(state, circuit_to_unitary(circ), circ.register.wires)
             assert max_abs_diff(got.amplitudes, want.amplitudes) < 1e-12
+
+
+def test_encryption_circuits_match_u_enc_on_run_large_grid():
+    # the benchmark's run-large (d, n): vpz then vpx on the state is u_enc
+    rng = np.random.default_rng(37)
+    for d, n in [(2, 8), (3, 5), (4, 4), (5, 3), (6, 3)]:
+        reg = protocol_register(d, n)
+        state = StateVector(reg, random_unit_vector(rng, reg.dim))
+        got = apply_circuit(apply_circuit(state, build_vpz_circuit(d, n)),
+                            build_vpx_circuit(d, n))
+        wires = ["A"] + [f"S{i}" for i in range(1, n + 1)]
+        want = embed_apply(state, u_enc(ProtocolParams(d, n)), wires)
+        assert max_abs_diff(got.amplitudes, want.amplitudes) < 1e-12, (d, n)
+
+
+def test_monomial_run_over_the_cap_is_split():
+    # 2^13 > OPERATOR_DIM_CAP, so the ladder cannot be one pass; split, it
+    # must still equal the gates applied one at a time
+    d, wires = 2, tuple(f"q{i}" for i in range(13))
+    ops = [GateOp(kind="cpow", base="xz"[i % 2], power=1, controls=(wires[i],),
+                  targets=(wires[i + 1],)) for i in range(12)]
+    ops.insert(6, GateOp(kind="diag", targets=("q6",), phases=(0.3, -1.1)))
+    circ = Circuit(Register(d, wires), tuple(ops))
+    passes = _runs(circ.ops, d)
+    assert len(passes) == 2
+    assert all(not fixed and d ** len({w for op in run for w in op.wires}) <= OPERATOR_DIM_CAP
+               for fixed, run in passes)
+    rng = np.random.default_rng(41)
+    state = StateVector(circ.register, random_unit_vector(rng, d ** 13))
+    want = state
+    for op in ops:
+        want = apply_circuit(want, Circuit(circ.register, (op,)))
+    got = apply_circuit(state, circ)
+    assert max_abs_diff(got.amplitudes, want.amplitudes) < 1e-12
 
 
 def test_apply_circuit_leaves_input_unmodified():

@@ -32,6 +32,18 @@ def test_verify_impossible_tolerance_fails(capsys):
     assert json.loads(out)["passed"] is False
 
 
+@pytest.mark.parametrize("command", [("verify", "--d-range", "2..2"),
+                                     ("run", "--d", "2", "--n", "2")])
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_bad_tolerance_is_config_error(capsys, command, tol):
+    # a negative or NaN tolerance used to fail as a verification (exit 1),
+    # an infinite one to pass and print non-standard JSON `Infinity`
+    code, out, err = run_cli(capsys, *command, "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --tol must be a finite number >= 0")
+
+
 def test_run_multi_share_passes(capsys):
     code, out, _ = run_cli(capsys, "run", "--d", "3", "--n", "2", "--seed", "7")
     assert code == 0

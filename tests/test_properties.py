@@ -1,8 +1,28 @@
-"""Property tests: both decryption paths of a run agree on every report."""
+"""Property tests: both decryption paths of a run agree on every report, and
+the circuit evaluator agrees with a product of dense per-gate matrices."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from quditclone import ProtocolParams, run_protocol
+from quditclone import (
+    Circuit,
+    GateOp,
+    ProtocolParams,
+    Register,
+    StateVector,
+    apply_circuit,
+    circuit_to_unitary,
+    controlled_power,
+    fourier,
+    kron,
+    kron_all,
+    max_abs_diff,
+    run_protocol,
+    swap_gate,
+    x_power,
+    z_power,
+)
+from quditclone.circuits import KINDS
 
 
 @st.composite
@@ -26,3 +46,92 @@ def test_decrypt_paths_agree(case):
     assert pairs == [r["pair"] for r in circuit.bell_residuals]
     for a, b in zip(formula.bell_residuals, circuit.bell_residuals):
         assert abs(a["fidelity"] - b["fidelity"]) < 1e-12, a["pair"]
+
+
+# Reference for the circuit evaluator: every gate as a dense matrix built
+# from the `gates` constructors and `linalg.kron` alone, never from `circuits`.
+
+def _base_matrix(op, d):
+    if op.kind == "xpow":
+        return x_power(d, op.power)
+    if op.kind == "zpow":
+        return z_power(d, op.power)
+    if op.kind == "fourier":
+        return fourier(d)
+    if op.kind == "fourier_dag":
+        return fourier(d).conj().T
+    if op.kind == "diag":
+        return np.diag(np.exp(1j * np.array(op.phases)))
+    if op.kind == "swap":
+        return swap_gate(d)
+    if op.kind == "scalar":
+        return np.full((1, 1), np.exp(1j * op.phase))
+    base = x_power(d, op.power) if op.base == "x" else z_power(d, op.power)
+    return controlled_power(base, d)  # cpow: control first, then target
+
+
+def _gate_matrix(op, d):
+    """Dense matrix of ``op`` on its wires in the order controls + targets."""
+    u = _base_matrix(op, d)
+    if not op.control_levels:
+        return u
+    proj = kron_all([np.diag(np.eye(d)[lv]) for lv in op.control_levels])
+    return kron(proj, u) + kron(np.eye(proj.shape[0]) - proj, np.eye(u.shape[0]))
+
+
+def _embedded(op, reg):
+    """``op`` on the whole register: kron with the identity, then axes into register order."""
+    d, m = reg.d, reg.num_wires
+    order = list(op.wires) + [w for w in reg.wires if w not in op.wires]
+    full = kron(_gate_matrix(op, d), np.eye(d ** (m - len(op.wires))))
+    perm = [order.index(w) for w in reg.wires]
+    t = full.reshape([d] * (2 * m)).transpose(perm + [m + p for p in perm])
+    return t.reshape(reg.dim, reg.dim)
+
+
+@st.composite
+def gate_ops(draw, d, wires):
+    kind = draw(st.sampled_from(KINDS))
+    ntargets = {"swap": 2, "scalar": 0}.get(kind, 1)
+    order = draw(st.permutations(wires))
+    targets = tuple(order[:ntargets])
+    if kind == "cpow":
+        controls, levels = (order[ntargets],), ()
+    else:
+        nc = draw(st.integers(0, len(wires) - ntargets))
+        controls = tuple(order[ntargets:ntargets + nc])
+        levels = tuple(draw(st.lists(st.integers(0, d - 1), min_size=nc, max_size=nc)))
+    phase = st.floats(-np.pi, np.pi)
+    return GateOp(
+        kind=kind, targets=targets, controls=controls, control_levels=levels,
+        power=draw(st.integers(-d, 2 * d)), base=draw(st.sampled_from("xz")),
+        phases=tuple(draw(st.lists(phase, min_size=d, max_size=d))) if kind == "diag" else (),
+        phase=draw(phase),
+    )
+
+
+@st.composite
+def circuit_cases(draw):
+    d = draw(st.integers(2, 5))
+    wires = tuple(f"q{i}" for i in range(draw(st.integers(2, 4))))
+    ops = draw(st.lists(gate_ops(d, wires), min_size=1, max_size=10))
+    # the state holds the circuit's wires in a drawn order
+    state_wires = tuple(draw(st.permutations(wires)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return Circuit(Register(d, wires), tuple(ops)), Register(d, state_wires), seed
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(circuit_cases())
+def test_apply_circuit_matches_dense_gate_product(case):
+    circuit, reg, seed = case
+    want = np.eye(reg.dim, dtype=complex)
+    for op in circuit.ops:
+        want = _embedded(op, reg) @ want
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(reg.dim) + 1j * rng.standard_normal(reg.dim)
+    state = StateVector(reg, v / np.linalg.norm(v))
+    got = apply_circuit(state, circuit)
+    assert max_abs_diff(got.amplitudes, want @ state.amplitudes) < 1e-12
+    same_order = Circuit(reg, circuit.ops)
+    assert max_abs_diff(circuit_to_unitary(same_order), want) < 1e-12
