@@ -60,11 +60,13 @@ from .protocol import (
     apply_u_dec,
     c_gate,
     dec_projector_sum,
+    decryption_scores,
     exp_generalization,
     pauli_product,
     protocol_register,
     random_state,
     run_protocol,
+    share_marginals,
     u_dec_dense,
     u_enc,
     v_of_p,

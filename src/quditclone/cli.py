@@ -26,7 +26,11 @@ def _parse_range(text: str) -> range:
 
 
 def _parse_set(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    """'2,5,10' -> [2, 5, 10]; blank items are skipped, but the set may not be empty."""
+    values = [int(x) for x in text.split(",") if x.strip()]
+    if not values:
+        raise ValueError(f"empty set {text!r}")
+    return values
 
 
 def _check_tol(tol: float) -> None:
@@ -50,7 +54,7 @@ def cmd_verify(args) -> int:
     _check_tol(args.tol)
     d_values = _parse_range(args.d_range)
     for d in d_values:  # refuse the whole range before any check runs
-        protocol.oracle_dim(protocol.ProtocolParams(d, args.n))
+        protocol.suite_params(d, args.n)
     results = []
     for d in d_values:
         report = protocol.verify_identities(

@@ -12,6 +12,14 @@ it runs the decryption gate circuit instead, so each path cross-checks
 the other. The dense operators built here from the paper's formulas
 (``u_enc``, ``v_of_p``, ``u_dec_dense``, ``dec_projector_sum``) are
 oracles only: the tests and ``verify_identities`` use them, no run does.
+
+The score also reads the state where it lies. ``share_marginals`` takes
+each share's marginal as a batched dot product over a view of the state,
+and ``decryption_scores`` applies the Bell bra to a pair as a sum of its
+diagonal, so a run makes no transposed copy of the state per share and
+builds no second product state (``product_state`` only prepares the
+initial one). ``linalg.reduced_density`` and ``overlap`` are the
+independent oracles that the tests compare these scores against.
 """
 
 import time
@@ -32,10 +40,8 @@ from .linalg import (
     kron,
     kron_all,
     max_abs_diff,
-    overlap,
     partial_trace,
     product_state,
-    reduced_density,
     DensityMatrix,
 )
 
@@ -44,8 +50,10 @@ from .linalg import (
 class ProtocolParams:
     """Dimension d, party count n and the share receiving the state.
 
-    Admits exactly what a run can hold: a d^(2n+1)-amplitude state and the
-    d^2 x d^2 pair density matrices it scores. Dense oracles cap their own size.
+    Admits a (d, n) whose d^(2n+1)-amplitude state fits the state cap and
+    whose two-wire pair dimension d^2 fits the operator cap (d <= 64). A run
+    forms no d^2 x d^2 matrix; the pair rule keeps the admitted set as it
+    has been. Dense oracles cap their own size.
     """
 
     d: int
@@ -62,7 +70,7 @@ class ProtocolParams:
             )
         what = f"protocol run for d={self.d}, n={self.n}"
         _check_state_size(self.d, 2 * self.n + 1, what)
-        _check_operator_dim(self.d * self.d, f"{what}: pair density matrix")
+        _check_operator_dim(self.d * self.d, f"{what}: two-wire pair")
 
 
 def oracle_dim(params: ProtocolParams) -> int:
@@ -70,6 +78,20 @@ def oracle_dim(params: ProtocolParams) -> int:
     dim = params.d ** (params.n + 1)
     _check_operator_dim(dim, f"d={params.d}, n={params.n} dense oracle")
     return dim
+
+
+def suite_params(d: int, n: int) -> ProtocolParams:
+    """Parameters of the identity suite at (d, n), refused above the size caps.
+
+    Besides the d^(n+1)-dimension dense oracles, the suite forms objects of
+    dimension d^3 at every n: the relay check's I x C on three wires, and
+    the d^6-entry projector stacks of the projector-algebra and trace-delta
+    checks. At n = 1 that is the binding rule.
+    """
+    params = ProtocolParams(d, n)
+    oracle_dim(params)
+    _check_operator_dim(d ** 3, f"d={d} identity suite")
+    return params
 
 
 def protocol_register(d: int, n: int) -> Register:
@@ -288,10 +310,60 @@ def random_state(d: int, seed: int | None, wire: str = "A") -> StateVector:
     return StateVector(Register(d, (wire,)), v / np.linalg.norm(v))
 
 
-def _bell_fidelity(state: StateVector, pair) -> float:
-    rho = reduced_density(state, pair)
-    b = gates.bell_amplitudes(state.register.d)
-    return float(np.real(b.conj() @ rho.matrix @ b))
+def share_marginals(state: StateVector, n: int) -> list[np.ndarray]:
+    """Reduced density matrices of S_1..S_n, read from the state in place.
+
+    Share S_i is axis p of the amplitude tensor, so the tensor reshaped
+    to x of shape (d^p, d, rest) is a view, and entry (i, j) of the
+    marginal is sum_a <x[a, j], x[a, i]>: one batched conjugating dot
+    product, with no transposed or conjugated copy of the state. Equals
+    ``reduced_density(state, ("S<i>",))``.
+    """
+    reg = state.register
+    out = []
+    for p in reg.positions([f"S{i}" for i in range(1, n + 1)]):
+        x = state.amplitudes.reshape(reg.d ** p, reg.d, -1)
+        out.append(np.vecdot(x[:, None], x[:, :, None]).sum(0))
+    return out
+
+
+def _bell_contract(x: np.ndarray, wires: list[str], pair) -> tuple[np.ndarray, list[str]]:
+    """(<Phi| x I) on the pair's axes of a tensor with one axis per wire.
+
+    <Phi| on (a, b) is (1/sqrt d) sum_c <c, c|, so this is the sum of the
+    pair's diagonal, a view, over d; both axes drop out of the result.
+    """
+    i, j = (wires.index(w) for w in pair)
+    y = np.diagonal(x, axis1=i, axis2=j).sum(-1)
+    y *= 1 / np.sqrt(x.shape[i])
+    return y, [w for w in wires if w not in pair]
+
+
+def decryption_scores(
+    state: StateVector, psi: StateVector, params: ProtocolParams
+) -> tuple[float, list[dict]]:
+    """Fidelity with the decrypted closed form and each restored pair's Bell residual.
+
+    The closed form is (1/sqrt d) sum_p |p>_A |psi>_{S_t} |p>_{N_t} with a
+    Bell pair on every other (S_j, N_j). Both scores contract the state in
+    place; no second product state and no pair density matrix is formed.
+    A pair's residual <Phi|rho_pair|Phi> is ||(<Phi| x I) state||^2. The
+    fidelity |<closed|state>| goes on from the (A, N_t) contraction: <Phi|
+    on every other (S_j, N_j), then the inner product with psi on S_t.
+    """
+    t = params.target_party
+    x = state.tensor()
+    wires = list(state.register.wires)
+    head = ("A", f"N{t}")
+    others = [(f"S{j}", f"N{j}") for j in range(1, params.n + 1) if j != t]
+    y, rest = _bell_contract(x, wires, head)
+    residuals = [{"pair": list(head), "fidelity": float(np.vdot(y, y).real)}]
+    for pair in others:
+        z, _ = _bell_contract(x, wires, pair)
+        residuals.append({"pair": list(pair), "fidelity": float(np.vdot(z, z).real)})
+    for pair in others:
+        y, rest = _bell_contract(y, rest, pair)
+    return float(abs(np.vdot(psi.amplitudes, y))), residuals
 
 
 def run_protocol(
@@ -310,7 +382,10 @@ def run_protocol(
     up to a global phase. No dense operator is built: encryption runs the
     gate circuits on the state, and decryption applies the paper's
     Bell-projector formula with ``apply_u_dec``, or runs the decryption
-    gate circuit when ``decrypt_with_circuit`` is set.
+    gate circuit when ``decrypt_with_circuit`` is set. Both scores contract
+    the state in place (``share_marginals``, ``decryption_scores``): no
+    reduced-density copy of the state, no pair density matrix and no
+    second product state is formed.
     """
     from . import circuits  # imported here: circuits imports this module
 
@@ -337,14 +412,10 @@ def run_protocol(
     timings["encrypt"] = (t2 - t1) * 1e3
 
     mixed = np.eye(d) / d
-    marginals = [
-        max_abs_diff(reduced_density(state, (f"S{i}",)).matrix, mixed)
-        for i in range(1, n + 1)
-    ]
+    marginals = [max_abs_diff(rho, mixed) for rho in share_marginals(state, n)]
     t3 = time.perf_counter()
     timings["marginals"] = (t3 - t2) * 1e3
 
-    others = [j for j in range(1, n + 1) if j != t]
     if decrypt_with_circuit:
         state = circuits.apply_circuit(state, circuits.build_udec_circuit(params))
     else:
@@ -352,21 +423,7 @@ def run_protocol(
     t4 = time.perf_counter()
     timings["decrypt"] = (t4 - t3) * 1e3
 
-    closed_parts = [(("A", f"N{t}"), bell), ((f"S{t}",), psi.amplitudes)]
-    closed_parts += [((f"S{j}", f"N{j}"), bell) for j in others]
-    closed = product_state(reg, closed_parts)
-    fidelity = abs(overlap(closed, state))
-
-    residuals = [
-        {"pair": ["A", f"N{t}"], "fidelity": _bell_fidelity(state, ("A", f"N{t}"))}
-    ]
-    for j in others:
-        residuals.append(
-            {
-                "pair": [f"S{j}", f"N{j}"],
-                "fidelity": _bell_fidelity(state, (f"S{j}", f"N{j}")),
-            }
-        )
+    fidelity, residuals = decryption_scores(state, psi, params)
     t5 = time.perf_counter()
     timings["verify"] = (t5 - t4) * 1e3
 
@@ -571,8 +628,7 @@ def verify_identities(
     indices are checked exhaustively. A (d, n) whose run or dense
     operators would exceed the size caps is refused before any check.
     """
-    params = ProtocolParams(d, n)
-    oracle_dim(params)
+    params = suite_params(d, n)
     rng = np.random.default_rng(seed)
     checks = [
         IdentityCheck("ricochet", _check_ricochet(d, rng, samples), tol),

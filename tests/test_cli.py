@@ -138,6 +138,21 @@ def test_verify_refuses_whole_range_before_any_check(monkeypatch, capsys):
     assert "cap" in err
 
 
+def test_verify_refuses_cubic_suite_objects_at_one_party(monkeypatch, capsys):
+    from quditclone import protocol
+
+    def check_ran(*args):
+        raise AssertionError("an identity check ran")
+
+    # the n = 1 oracles are 17^2-dim, but the relay, projector-algebra and
+    # trace-delta checks form 17^3-dim objects
+    monkeypatch.setattr(protocol, "_check_ricochet", check_ran)
+    code, out, err = run_cli(capsys, "verify", "--d-range", "17", "--n", "1")
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+
+
 def test_huge_range_is_refused_without_listing_it(capsys):
     from quditclone.cli import _parse_range
 
@@ -180,6 +195,16 @@ def test_run_huge_party_count_is_cap_error(capsys):
     assert code == 2
     assert out == ""
     assert "cap" in err
+
+
+def test_counts_refuses_empty_party_set(capsys):
+    # an empty set used to print a bare header and exit 0, even past the d cap
+    for argv in (("--n-set", ","), ("--n-set", ""), ("--n-set", ",", "--format", "json"),
+                 ("--d-range", "5000..5001", "--n-set", ",")):
+        code, out, err = run_cli(capsys, "counts", *argv)
+        assert code == 2
+        assert out == ""
+        assert "empty set" in err
 
 
 def test_counts_default_sweep(tmp_path, capsys):

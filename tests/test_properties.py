@@ -1,5 +1,7 @@
-"""Property tests: both decryption paths of a run agree on every report, and
-the circuit evaluator agrees with a product of dense per-gate matrices."""
+"""Property tests: both decryption paths of a run agree on every report, a
+run's in-place scores agree with the reduced-density and product-state
+oracles, and the circuit evaluator agrees with a product of dense per-gate
+matrices."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -11,18 +13,30 @@ from quditclone import (
     Register,
     StateVector,
     apply_circuit,
+    apply_u_dec,
+    build_udec_circuit,
+    build_vpx_circuit,
+    build_vpz_circuit,
     circuit_to_unitary,
     controlled_power,
+    decryption_scores,
     fourier,
     kron,
     kron_all,
     max_abs_diff,
+    overlap,
+    product_state,
+    protocol_register,
+    random_state,
+    reduced_density,
     run_protocol,
+    share_marginals,
     swap_gate,
     x_power,
     z_power,
 )
 from quditclone.circuits import KINDS
+from quditclone.gates import bell_amplitudes
 
 
 @st.composite
@@ -46,6 +60,62 @@ def test_decrypt_paths_agree(case):
     assert pairs == [r["pair"] for r in circuit.bell_residuals]
     for a, b in zip(formula.bell_residuals, circuit.bell_residuals):
         assert abs(a["fidelity"] - b["fidelity"]) < 1e-12, a["pair"]
+
+
+def _check_scores_against_oracles(state, psi, params):
+    """The in-place scores of ``state`` equal the density-matrix and overlap oracles."""
+    d, n, t = params.d, params.n, params.target_party
+    bell = bell_amplitudes(d)
+    for i, rho in enumerate(share_marginals(state, n), start=1):
+        assert max_abs_diff(rho, reduced_density(state, (f"S{i}",)).matrix) < 1e-12
+    others = [j for j in range(1, n + 1) if j != t]
+    closed = product_state(
+        state.register,
+        [(("A", f"N{t}"), bell), ((f"S{t}",), psi.amplitudes)]
+        + [((f"S{j}", f"N{j}"), bell) for j in others],
+    )
+    fidelity, residuals = decryption_scores(state, psi, params)
+    assert abs(fidelity - abs(overlap(closed, state))) < 1e-12
+    pairs = [("A", f"N{t}")] + [(f"S{j}", f"N{j}") for j in others]
+    assert [r["pair"] for r in residuals] == [list(p) for p in pairs]
+    for r, pair in zip(residuals, pairs):
+        rho = reduced_density(state, pair).matrix
+        assert abs(r["fidelity"] - np.real(bell.conj() @ rho @ bell)) < 1e-12, pair
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(protocol_cases(), st.booleans())
+def test_in_place_scores_match_density_oracles(case, with_circuit):
+    params, seed = case
+    d, n = params.d, params.n
+    reg = protocol_register(d, n)
+    psi = random_state(d, seed)
+    bell = bell_amplitudes(d)
+    parts = [(("A",), psi.amplitudes)] + [((f"S{i}", f"N{i}"), bell) for i in range(1, n + 1)]
+    state = apply_circuit(product_state(reg, parts), build_vpz_circuit(d, n))
+    state = apply_circuit(state, build_vpx_circuit(d, n))
+    _check_scores_against_oracles(state, psi, params)
+    encrypted = share_marginals(state, n)
+    if with_circuit:
+        state = apply_circuit(state, build_udec_circuit(params))
+    else:
+        state = apply_u_dec(state, params)
+    _check_scores_against_oracles(state, psi, params)
+
+    # the run scores this same final state
+    report = run_protocol(params, seed=seed, decrypt_with_circuit=with_circuit)
+    mixed = np.eye(d) / d
+    want = [max_abs_diff(rho, mixed) for rho in encrypted]
+    assert max_abs_diff(report.marginal_deviations, want) < 1e-12
+    fidelity, residuals = decryption_scores(state, psi, params)
+    assert abs(report.decryption_fidelity - fidelity) < 1e-12
+    for a, b in zip(report.bell_residuals, residuals):
+        assert a["pair"] == b["pair"] and abs(a["fidelity"] - b["fidelity"]) < 1e-12
+
+    # a generic state, whose marginals are not mixed and whose pairs are not Bell pairs
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(reg.dim) + 1j * rng.standard_normal(reg.dim)
+    _check_scores_against_oracles(StateVector(reg, v / np.linalg.norm(v)), psi, params)
 
 
 # Reference for the circuit evaluator: every gate as a dense matrix built

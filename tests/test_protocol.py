@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -350,6 +352,35 @@ def test_run_protocol_builds_no_dense_operator_on_circuit_paths(monkeypatch):
         assert report.passed
 
 
+def test_run_protocol_scores_without_density_oracles(monkeypatch):
+    from quditclone import linalg, protocol
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_protocol scored through a density-matrix oracle")
+
+    for name in ("reduced_density", "overlap"):
+        monkeypatch.setattr(protocol, name, refuse, raising=False)
+        monkeypatch.setattr(linalg, name, refuse)
+    for decrypt_with_circuit in (False, True):
+        report = run_protocol(
+            ProtocolParams(3, 2, target_party=2), seed=5,
+            decrypt_with_circuit=decrypt_with_circuit,
+        )
+        assert report.passed
+        assert all(r["fidelity"] > 1 - TOL for r in report.bell_residuals)
+
+
+def test_run_report_is_plain_json():
+    # an np.float64 score would make `passed` an np.bool_, which json refuses
+    for n in (1, 2):
+        report = run_protocol(ProtocolParams(3, n), seed=4)
+        assert type(report.passed) is bool
+        assert type(report.decryption_fidelity) is float
+        assert all(type(m) is float for m in report.marginal_deviations)
+        assert all(type(r["fidelity"]) is float for r in report.bell_residuals)
+        json.dumps(report.to_dict(include_timings=True))
+
+
 def test_run_protocol_circuit_path_other_target():
     report = run_protocol(
         ProtocolParams(3, 2, target_party=2), seed=13, decrypt_with_circuit=True
@@ -430,6 +461,18 @@ def test_verify_identities_report_shape():
     names = {c["name"] for c in data["checks"]}
     assert {"ricochet", "gauss_sum", "bell_trace_delta"} <= names
     assert all(isinstance(c["max_deviation"], float) for c in data["checks"])
+
+
+def test_verify_identities_refuses_cubic_suite_objects(monkeypatch):
+    from quditclone import protocol
+
+    def check_ran(*args):
+        raise AssertionError("an identity check ran")
+
+    # at n = 1 the oracles are 17^2-dim, but three checks form 17^3-dim objects
+    monkeypatch.setattr(protocol, "_check_ricochet", check_ran)
+    with pytest.raises(SizeCapError, match="identity suite"):
+        verify_identities(17, n=1)
 
 
 def test_verify_builds_each_oracle_once(monkeypatch):
