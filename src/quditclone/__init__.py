@@ -57,7 +57,6 @@ from .protocol import (
     IdentitySuiteReport,
     ProtocolParams,
     ProtocolReport,
-    apply_u_dec,
     c_gate,
     dec_projector_sum,
     decryption_scores,
@@ -80,6 +79,7 @@ from .circuits import (
     build_tbar,
     build_tkl,
     build_udec_circuit,
+    build_udec_factored,
     build_vpx_circuit,
     build_vpz_circuit,
     circuit_to_unitary,

@@ -14,6 +14,13 @@ the two Fourier gates is monomial (a permutation of basis states times
 phases), so each maximal run of such gates is compiled into one gather
 over the wires it touches plus one phase multiply, and each Fourier
 gate is one matrix product on its wire.
+
+Decryption has two builders of the same operator: ``build_udec_circuit``
+is the paper-literal circuit, with d^2 - 1 doubly controlled correction
+blocks, and ``build_udec_factored`` has 2n + 5 gates, none of them
+doubly controlled. A run decrypts with the factored circuit, or with the
+literal one under ``--circuit``; ``circuit-dump udec`` prints the literal
+one.
 """
 
 import json
@@ -468,6 +475,35 @@ def build_udec_circuit(params: ProtocolParams) -> Circuit:
     ops += _c_gate_ops(s, nt, d)
     ops.append(GateOp(kind="swap", targets=(s, nt)))
     return Circuit(reg, tuple(ops))
+
+
+def build_udec_factored(params: ProtocolParams) -> Circuit:
+    """Decryption circuit with O(n) gates, on the wires of ``build_udec_circuit``.
+
+    The d^2 - 1 blocks of the literal circuit factor: after the analyzer
+    (S_t, N_t) holds (k, l), so conj(c_k c_l) is one diagonal gate on each
+    wire, and X^k Z^-l on every other N_j is a Z^-1 power controlled by N_t
+    then an X power controlled by S_t. The literal tail, analyzer out
+    (F, CX), C (F, F, CX^2) and SWAP, shortens to F^dag, CX, SWAP: F^2
+    negates N_t's index, so the CX before it and the CX^2 after it merge
+    into one CX after it, and F . F^2 = F^3 = F^dag since F^4 = I.
+    """
+    d, n, t = params.d, params.n, params.target_party
+    s, nt = f"S{t}", f"N{t}"
+    locals_ = [f"N{j}" for j in range(1, n + 1) if j != t]
+    phases = tuple(-np.angle(cazac.chu(d).values))
+    ops = _tbar_ops(s, nt, d)
+    ops += [GateOp(kind="diag", targets=(w,), phases=phases) for w in (s, nt)]
+    for wire in locals_:
+        ops.append(GateOp(kind="cpow", base="z", power=d - 1, controls=(nt,),
+                          targets=(wire,)))
+        ops.append(GateOp(kind="cpow", base="x", power=1, controls=(s,), targets=(wire,)))
+    ops += [
+        GateOp(kind="fourier_dag", targets=(nt,)),
+        GateOp(kind="cpow", base="x", power=1, controls=(nt,), targets=(s,)),
+        GateOp(kind="swap", targets=(s, nt)),
+    ]
+    return Circuit(Register(d, (s, nt, *locals_)), tuple(ops))
 
 
 @dataclass(frozen=True)

@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=1, help="share receiving the state")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--circuit", action="store_true",
-                   help="decrypt with the gate-level circuit instead of the "
-                        "Bell-projector formula (both are matrix-free)")
+                   help="decrypt with the paper-literal circuit (d^2 - 1 "
+                        "correction blocks) instead of the factored one")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte-identical output)")
     p.add_argument("--out", default=None)

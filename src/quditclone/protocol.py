@@ -4,14 +4,15 @@ The register layout is canonical throughout: [A, S_1..S_n, N_1..N_n].
 Encryption acts on (A, S_1..S_n); decryption acts on the target share
 and all locally kept wires (S_t, N_t, N_j for j != t).
 
-``run_protocol`` is matrix-free on both decryption paths. It encrypts
-by running the gate circuits of ``circuits`` on the state vector. By
-default it decrypts with ``apply_u_dec``, which applies the paper's
-Bell-projector formula factor by factor; with ``decrypt_with_circuit``
-it runs the decryption gate circuit instead, so each path cross-checks
-the other. The dense operators built here from the paper's formulas
-(``u_enc``, ``v_of_p``, ``u_dec_dense``, ``dec_projector_sum``) are
-oracles only: the tests and ``verify_identities`` use them, no run does.
+``run_protocol`` executes only gate circuits of ``circuits``, on the
+state vector. It encrypts with the vpz and vpx circuits. By default it
+decrypts with the factored circuit (``build_udec_factored``, O(n)
+gates); with ``decrypt_with_circuit`` it runs the paper-literal circuit
+(``build_udec_circuit``, d^2 - 1 correction blocks) instead, so the two
+builders cross-check each other through one evaluator. The dense
+operators built here from the paper's formulas (``u_enc``, ``v_of_p``,
+``u_dec_dense``, ``dec_projector_sum``) are oracles only: the tests and
+``verify_identities`` use them, no run does.
 
 The score also reads the state where it lies. ``share_marginals`` takes
 each share's marginal as a batched dot product over a view of the state,
@@ -50,10 +51,10 @@ from .linalg import (
 class ProtocolParams:
     """Dimension d, party count n and the share receiving the state.
 
-    Admits a (d, n) whose d^(2n+1)-amplitude state fits the state cap and
-    whose two-wire pair dimension d^2 fits the operator cap (d <= 64). A run
-    forms no d^2 x d^2 matrix; the pair rule keeps the admitted set as it
-    has been. Dense oracles cap their own size.
+    Admits a (d, n) whose d^(2n+1)-amplitude state fits the state cap (at
+    n = 1, d <= 161). Besides the state a run forms no object larger than
+    one two-wire gate's d^2-entry gather table. Dense oracles cap their
+    own size.
     """
 
     d: int
@@ -68,9 +69,7 @@ class ProtocolParams:
             raise ValueError(
                 f"target party {self.target_party} out of range 1..{self.n}"
             )
-        what = f"protocol run for d={self.d}, n={self.n}"
-        _check_state_size(self.d, 2 * self.n + 1, what)
-        _check_operator_dim(self.d * self.d, f"{what}: two-wire pair")
+        _check_state_size(self.d, 2 * self.n + 1, f"protocol run for d={self.d}, n={self.n}")
 
 
 def oracle_dim(params: ProtocolParams) -> int:
@@ -85,8 +84,8 @@ def suite_params(d: int, n: int) -> ProtocolParams:
 
     Besides the d^(n+1)-dimension dense oracles, the suite forms objects of
     dimension d^3 at every n: the relay check's I x C on three wires, and
-    the d^6-entry projector stacks of the projector-algebra and trace-delta
-    checks. At n = 1 that is the binding rule.
+    the trace-delta check's d^6-entry operator stack. At n = 1 that is the
+    binding rule.
     """
     params = ProtocolParams(d, n)
     oracle_dim(params)
@@ -202,57 +201,6 @@ def _dec_head(params: ProtocolParams) -> np.ndarray:
     """Head of ``u_dec_dense``: SWAP . C on the (S_t, N_t) pair, identity elsewhere."""
     pair = gates.swap_gate(params.d) @ c_gate(params.d)
     return kron(pair, np.eye(params.d ** (params.n - 1)))
-
-
-def apply_u_dec(state: StateVector, params: ProtocolParams) -> StateVector:
-    """Apply the decryption unitary to a state without building it.
-
-    Evaluates the ``u_dec_dense`` formula one factor at a time on the
-    wires (S_t, N_t, N_j for j != t): the pair is rotated into its Bell
-    components, branch (k, l) is scaled by conj(c_k c_l) and gets
-    X^k Z^-l on every other N_j, then the pair is rotated back and SWAP . C
-    acts on it. The Bell vector of (k, l) is vec(X^k Z^l)/sqrt d, so each
-    rotation is a gather of the pair's shifted diagonals and a d-point
-    DFT; C and SWAP are permutations of the pair's index. Besides the state,
-    only d x d matrices are formed, and for n >= 2 the d^2 corrections
-    X^k Z^-l. The input state is not modified.
-    """
-    d, n, t = params.d, params.n, params.target_party
-    reg = state.register
-    if reg.d != d:
-        raise ValueError(f"state dimension {reg.d} does not match d={d}")
-    pair = reg.positions((f"S{t}", f"N{t}"))
-    rest = [i for i in range(reg.num_wires) if i not in pair]
-    locals_ = reg.positions([f"N{j}" for j in range(1, n + 1) if j != t])
-    c = cazac.chu(d).values
-    f = gates.fourier(d)  # f[l, c] = w^(lc) / sqrt d
-    j = np.arange(d)
-    k, col = j[:, None], j[None, :]
-
-    # Bell component (k, l) of pair (a, c) is (1/sqrt d) sum_c w^(-lc) x[c + k, c]:
-    # gather diagonal k, DFT over c, scale by conj(c_k c_l)
-    x = state.tensor().transpose(list(pair) + rest).reshape(d, d, -1)
-    x = np.matmul(f.conj(), x[(col + k) % d, col])
-    x *= np.conj(np.outer(c, c))[:, :, None]
-    x = x.reshape([d * d] + [d] * len(rest))
-
-    # X^k Z^-l on each remaining local wire, all d^2 branches in one batch
-    if locals_:
-        weyl = gates.weyl_table(d)
-        corr = weyl[[gates.weyl_row(d, k, -l) for k in range(d) for l in range(d)]]
-    for p in locals_:
-        ax = 1 + rest.index(p)
-        y = np.moveaxis(x, ax, 1)
-        y = (corr @ y.reshape(d * d, d, -1)).reshape(y.shape)
-        x = np.moveaxis(y, 1, ax)
-
-    # back out of the Bell basis: pair (a, c) reads e[a - c, c], the inverse
-    # DFT of diagonal a - c; then C, |a, c> -> |a - 2c, -c>, so that (a, c)
-    # reads e[a - c, -c]; then SWAP exchanges the pair's two axes
-    e = np.matmul(f, x.reshape(d, d, -1))
-    x = e[(k - col) % d, (-col) % d].reshape([d] * reg.num_wires)
-    swapped = [pair[1], pair[0]] + rest  # the wire each axis of x holds after SWAP
-    return StateVector(reg, x.transpose(np.argsort(swapped)).reshape(-1))
 
 
 @dataclass
@@ -379,13 +327,12 @@ def run_protocol(
     every share's deviation from the maximally mixed state, decrypts onto
     the target share, and scores the final state against the closed form
     (1/sqrt d) sum_p |p>_A |psi>_{S_t} |p>_{N_t} x Bell pairs elsewhere,
-    up to a global phase. No dense operator is built: encryption runs the
-    gate circuits on the state, and decryption applies the paper's
-    Bell-projector formula with ``apply_u_dec``, or runs the decryption
-    gate circuit when ``decrypt_with_circuit`` is set. Both scores contract
-    the state in place (``share_marginals``, ``decryption_scores``): no
-    reduced-density copy of the state, no pair density matrix and no
-    second product state is formed.
+    up to a global phase. No dense operator is built: encryption and
+    decryption run gate circuits on the state, decryption the factored
+    circuit, or the paper-literal one when ``decrypt_with_circuit`` is
+    set. Both scores contract the state in place (``share_marginals``,
+    ``decryption_scores``): no reduced-density copy of the state, no pair
+    density matrix and no second product state is formed.
     """
     from . import circuits  # imported here: circuits imports this module
 
@@ -416,10 +363,8 @@ def run_protocol(
     t3 = time.perf_counter()
     timings["marginals"] = (t3 - t2) * 1e3
 
-    if decrypt_with_circuit:
-        state = circuits.apply_circuit(state, circuits.build_udec_circuit(params))
-    else:
-        state = apply_u_dec(state, params)
+    udec = circuits.build_udec_circuit if decrypt_with_circuit else circuits.build_udec_factored
+    state = circuits.apply_circuit(state, udec(params))
     t4 = time.perf_counter()
     timings["decrypt"] = (t4 - t3) * 1e3
 
@@ -533,16 +478,17 @@ def _check_bell_basis_orthonormal(d):
 
 
 def _check_projector_algebra(d):
-    """Pi_a Pi_b = delta_ab Pi_a over all d^4 index pairs."""
+    """Pi_a Pi_b = delta_ab Pi_a over all d^4 index pairs.
+
+    With Pi_a = |b_a><b_a|, Pi_a Pi_b - delta_ab Pi_a = (G_ab - delta_ab)
+    |b_a><b_b| for the Gram matrix G_ab = <b_a|b_b>, so the largest entry of
+    that difference is |G_ab - delta_ab| max|b_a| max|b_b|: O(d^6), where
+    forming every product takes O(d^10).
+    """
     v = gates.bell_basis(d)
-    projs = np.einsum("ai,aj->aij", v, v.conj())
-    worst = 0.0
-    for a in range(d * d):
-        prod = np.matmul(projs[a], projs)
-        expect = np.zeros_like(prod)
-        expect[a] = projs[a]
-        worst = max(worst, max_abs_diff(prod, expect))
-    return worst
+    gram = v.conj() @ v.T
+    peak = np.abs(v).max(axis=1)
+    return float((np.abs(gram - np.eye(d * d)) * np.outer(peak, peak)).max())
 
 
 def _check_projector_completeness(d):

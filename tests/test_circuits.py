@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from quditclone import (
     build_tbar,
     build_tkl,
     build_udec_circuit,
+    build_udec_factored,
     build_vpx_circuit,
     build_vpz_circuit,
     circuit_to_unitary,
@@ -282,10 +284,26 @@ def test_tkl_products_commute_and_stay_unitary():
 def test_udec_circuit_matches_dense():
     for d, n, t in [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (3, 3, 2)]:
         params = ProtocolParams(d, n, t)
-        circ = build_udec_circuit(params)
         others = tuple(f"N{j}" for j in range(1, n + 1) if j != t)
-        assert circ.register.wires == (f"S{t}", f"N{t}") + others
-        assert max_abs_diff(circuit_to_unitary(circ), u_dec_dense(params)) < TOL
+        for build in (build_udec_circuit, build_udec_factored):
+            circ = build(params)
+            assert circ.register.wires == (f"S{t}", f"N{t}") + others
+            assert max_abs_diff(circuit_to_unitary(circ), u_dec_dense(params)) < TOL
+
+
+def test_udec_factored_tally_is_linear():
+    # 2d one-qudit gates (two analyzer Fourier gates and two diagonals of
+    # d - 1 rotations each) and 2n + 1 two-qudit gates, with no d^2 term;
+    # building allocates nothing, so (d, n) past the state cap are taken too
+    for d in range(2, 11):
+        for n in range(1, 6):
+            circ = build_udec_factored(SimpleNamespace(d=d, n=n, target_party=n))
+            assert len(circ.ops) == 2 * n + 5
+            assert tally_gates(circ) == {"one_qudit": 2 * d, "two_qudit": 2 * n + 1,
+                                         "multi": 0}, (d, n)
+            # five passes while the middle run's n + 1 wires fit one gather
+            if d ** (n + 1) <= OPERATOR_DIM_CAP:
+                assert len(_runs(circ.ops, d)) == 5, (d, n)
 
 
 def test_apply_circuit_matches_embedded_unitary():

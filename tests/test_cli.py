@@ -182,6 +182,15 @@ def test_run_beyond_the_old_operator_bound(capsys):
     assert code == 0
 
 
+def test_run_beyond_the_old_pair_bound(capsys):
+    # d^2 > 4096, but the 65^3-amplitude state fits; exit 1 comes from the
+    # single share's marginal, not from decryption
+    for extra in ((), ("--circuit",)):
+        code, out, _ = run_cli(capsys, "run", "--d", "65", "--n", "1", *extra)
+        assert code == 1
+        assert json.loads(out)["decryption_fidelity"] >= 1 - 1e-10
+
+
 def test_circuit_dump_refuses_what_a_run_cannot_hold(capsys):
     for builder in ("vpz", "vpx", "udec"):
         code, out, err = run_cli(capsys, "circuit-dump", builder, "--d", "2", "--n", "11")

@@ -1,7 +1,7 @@
-"""Property tests: both decryption paths of a run agree on every report, a
-run's in-place scores agree with the reduced-density and product-state
-oracles, and the circuit evaluator agrees with a product of dense per-gate
-matrices."""
+"""Property tests: both decryption paths of a run (the factored and the
+paper-literal circuit) agree on every report, a run's in-place scores agree
+with the reduced-density and product-state oracles, and the circuit
+evaluator agrees with a product of dense per-gate matrices."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -13,8 +13,8 @@ from quditclone import (
     Register,
     StateVector,
     apply_circuit,
-    apply_u_dec,
     build_udec_circuit,
+    build_udec_factored,
     build_vpx_circuit,
     build_vpz_circuit,
     circuit_to_unitary,
@@ -96,10 +96,8 @@ def test_in_place_scores_match_density_oracles(case, with_circuit):
     state = apply_circuit(state, build_vpx_circuit(d, n))
     _check_scores_against_oracles(state, psi, params)
     encrypted = share_marginals(state, n)
-    if with_circuit:
-        state = apply_circuit(state, build_udec_circuit(params))
-    else:
-        state = apply_u_dec(state, params)
+    udec = build_udec_circuit if with_circuit else build_udec_factored
+    state = apply_circuit(state, udec(params))
     _check_scores_against_oracles(state, psi, params)
 
     # the run scores this same final state

@@ -9,8 +9,9 @@ from quditclone import (
     Register,
     SizeCapError,
     StateVector,
-    apply_u_dec,
+    apply_circuit,
     basis_state,
+    build_udec_factored,
     c_gate,
     dec_projector_sum,
     embed_apply,
@@ -34,7 +35,8 @@ from quditclone import (
     z_power,
 )
 from quditclone.cazac import chu
-from quditclone.gates import bell_amplitudes
+from quditclone.gates import bell_amplitudes, bell_basis
+from quditclone.protocol import _check_projector_algebra
 
 TOL = 1e-10
 
@@ -229,7 +231,7 @@ def _random_register_state(rng, d, n):
     return StateVector(reg, random_unit_vector(rng, reg.dim))
 
 
-def test_apply_u_dec_matches_dense_operator():
+def test_udec_factored_matches_dense_operator():
     rng = np.random.default_rng(31)
     for d, n_max in [(2, 4), (3, 3), (4, 2), (5, 2), (6, 2), (16, 1)]:
         for n in range(1, n_max + 1):
@@ -238,23 +240,31 @@ def test_apply_u_dec_matches_dense_operator():
                 state = _random_register_state(rng, d, n)
                 wires = [f"S{t}", f"N{t}"] + [f"N{j}" for j in range(1, n + 1) if j != t]
                 expected = embed_apply(state, u_dec_dense(params), wires)
-                got = apply_u_dec(state, params)
+                got = apply_circuit(state, build_udec_factored(params))
                 assert got.register == state.register
                 assert max_abs_diff(got.amplitudes, expected.amplitudes) < 1e-12, (d, n, t)
 
 
 def test_apply_u_dec_leaves_input_unmodified():
+    # the default decryption, the factored udec circuit, run on the state
     state = _random_register_state(np.random.default_rng(32), 3, 3)
     before = state.amplitudes.copy()
-    out = apply_u_dec(state, ProtocolParams(3, 3, target_party=2))
+    out = apply_circuit(state, build_udec_factored(ProtocolParams(3, 3, target_party=2)))
     assert np.array_equal(state.amplitudes, before)
     assert not np.shares_memory(out.amplitudes, state.amplitudes)
 
 
-def test_apply_u_dec_rejects_dimension_mismatch():
-    state = _random_register_state(np.random.default_rng(33), 2, 2)
-    with pytest.raises(ValueError):
-        apply_u_dec(state, ProtocolParams(3, 2))
+def test_projector_algebra_check_equals_literal_products():
+    # the check's Gram-matrix form is the deviation of every product Pi_a Pi_b
+    for d in range(2, 6):
+        v = bell_basis(d)
+        projs = np.einsum("ai,aj->aij", v, v.conj())
+        literal = 0.0
+        for a in range(d * d):
+            expect = np.zeros_like(projs)
+            expect[a] = projs[a]
+            literal = max(literal, max_abs_diff(projs[a] @ projs, expect))
+        assert abs(_check_projector_algebra(d) - literal) < 1e-15, d
 
 
 def test_run_protocol_multi_share():
@@ -418,12 +428,12 @@ def test_run_protocol_state_cap():
 
 
 def test_protocol_params_admits_what_a_run_can_hold():
-    # a run holds the d^(2n+1)-amplitude state and d^2 x d^2 pair gates,
-    # never a d^(n+1)-dim operator; a huge n is refused without forming
-    # the power
-    for d, n in ((17, 2), (21, 2), (64, 1), (2, 10)):
+    # a run holds the d^(2n+1)-amplitude state (161^3 <= 2^22 < 162^3) and
+    # d^2-entry gate tables, never a d^(n+1)-dim operator; a huge n is
+    # refused without forming the power
+    for d, n in ((17, 2), (21, 2), (64, 1), (65, 1), (161, 1), (2, 10)):
         ProtocolParams(d, n)
-    for d, n in ((22, 2), (65, 1), (2, 11), (3, 10 ** 8)):
+    for d, n in ((22, 2), (162, 1), (2, 11), (3, 10 ** 8)):
         with pytest.raises(SizeCapError, match="cap"):
             ProtocolParams(d, n)
 
