@@ -76,6 +76,7 @@ from .circuits import (
     GateCounts,
     GateOp,
     apply_circuit,
+    build_enc_factored,
     build_tbar,
     build_tkl,
     build_udec_circuit,

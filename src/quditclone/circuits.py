@@ -12,8 +12,16 @@ expands one into a dense matrix for comparison with the paper's
 operator formulas. Both evaluate the same way: every gate kind except
 the two Fourier gates is monomial (a permutation of basis states times
 phases), so each maximal run of such gates is compiled into one gather
-over the wires it touches plus one phase multiply, and each Fourier
-gate is one matrix product on its wire.
+over the wires it touches plus one phase multiply, and each maximal
+stretch of uncontrolled gates on one wire that holds a Fourier gate is
+one matrix product on that wire.
+
+Encryption has two forms of the same operator V(P_X) V(P_Z): the
+paper-literal ``build_vpz_circuit`` and ``build_vpx_circuit``, whose
+Fourier conjugation covers all n + 1 wires, and ``build_enc_factored``,
+whose difference ladder confines it to S_n, so that it runs as a
+gather, one d x d product and a gather. A run encrypts with the
+factored circuit; ``circuit-dump`` prints the literal ones.
 
 Decryption has two builders of the same operator: ``build_udec_circuit``
 is the paper-literal circuit, with d^2 - 1 doubly controlled correction
@@ -142,20 +150,36 @@ class Circuit:
 _DENSE_KINDS = frozenset(("fourier", "fourier_dag"))
 
 
-def _runs(ops, d: int) -> list[tuple[dict, list[GateOp]]]:
-    """Split ``ops`` into passes: maximal runs of monomial gates, each Fourier gate alone.
+def _bare_wire(op: GateOp) -> str | None:
+    """The wire of an uncontrolled one-wire gate; None for any other gate."""
+    return op.targets[0] if len(op.targets) == 1 and not op.controls else None
 
-    Each pass is (fixed, gates): ``fixed`` maps the control wires that
-    every gate of the pass holds at the same level to that level, and the
-    gates come without those controls, to act on that slice only. A run
-    ends before a gate that would take its joint dimension, d to the
-    number of wires it touches outside ``fixed``, over ``OPERATOR_DIM_CAP``.
+
+def _runs(ops, d: int) -> list[tuple[dict, list[GateOp]]]:
+    """Split ``ops`` into passes: maximal monomial runs and one-wire stretches.
+
+    A run is either all monomial or confined to one bare wire: a maximal
+    stretch of uncontrolled gates on one wire that holds a Fourier gate
+    is one pass, its d x d product, and never takes in a gate on another
+    wire or with a control. Each pass is (fixed, gates): ``fixed`` maps
+    the control wires that every gate of a monomial run holds at the same
+    level to that level, and the gates come without those controls, to act
+    on that slice only. A monomial run ends before a gate that would take
+    its joint dimension, d to the number of wires it touches outside
+    ``fixed``, over ``OPERATOR_DIM_CAP``.
     """
     runs: list[list] = []  # [fixed (wire, level) pairs, gates]
     wires: set[str] = set()
+    bare = None  # the last run's wire while every gate of it is bare on that wire
+    dense = False  # whether the last run holds a Fourier gate
     for op in ops:
         levels = set(zip(op.controls, op.control_levels)) if op.control_levels else set()
-        if runs and _DENSE_KINDS.isdisjoint((op.kind, runs[-1][1][0].kind)):
+        if runs and (dense or op.kind in _DENSE_KINDS):
+            if bare is not None and _bare_wire(op) == bare:
+                runs[-1][1].append(op)
+                dense = True
+                continue
+        elif runs:
             fixed = runs[-1][0] & levels if levels else levels
             joint = wires | set(op.wires)
             free = joint - {w for w, _ in fixed} if fixed else joint
@@ -163,9 +187,13 @@ def _runs(ops, d: int) -> list[tuple[dict, list[GateOp]]]:
                 runs[-1][0] = fixed
                 runs[-1][1].append(op)
                 wires = joint
+                if _bare_wire(op) != bare:
+                    bare = None
                 continue
         runs.append([levels, [op]])
         wires = set(op.wires)
+        bare = _bare_wire(op)
+        dense = op.kind in _DENSE_KINDS
     return [(dict(fixed), [_without(op, fixed) for op in run] if fixed else run)
             for fixed, run in runs]
 
@@ -250,20 +278,30 @@ def _gather(t: np.ndarray, positions, src: np.ndarray, g: np.ndarray) -> np.ndar
 
 def _pass(t: np.ndarray, run: list[GateOp], axes: list[str], d: int,
           dense: dict) -> np.ndarray:
-    """Apply one pass to ``t``, whose axes hold the wires ``axes`` in order.
+    """Apply one pass of ``_runs`` to ``t``, whose axes hold the wires ``axes`` in order.
 
-    ``dense`` maps each Fourier kind to its d x d matrix; it is filled
-    on first use.
+    A monomial run is one gather over the wires it touches. A one-wire
+    stretch with a Fourier gate is composed into its d x d matrix, each
+    monomial gate of it as a row gather of the product so far, and that
+    matrix is one product on the wire's axis. ``dense`` maps each Fourier
+    kind to its d x d matrix; it is filled on first use.
     """
-    op = run[0]
-    if op.kind in _DENSE_KINDS:
-        if not dense:
-            f = gates.fourier(d)
-            dense.update(fourier=f, fourier_dag=f.conj().T)
-        return _apply_on_axes(t, dense[op.kind], [axes.index(op.targets[0])])
-    wires = sorted({w for op in run for w in op.wires}, key=axes.index)
-    src, g = _compile_run(run, wires, d)
-    return _gather(t, [axes.index(w) for w in wires], src, g)
+    if not any(op.kind in _DENSE_KINDS for op in run):
+        wires = sorted({w for op in run for w in op.wires}, key=axes.index)
+        src, g = _compile_run(run, wires, d)
+        return _gather(t, [axes.index(w) for w in wires], src, g)
+    if not dense:
+        f = gates.fourier(d)
+        dense.update(fourier=f, fourier_dag=f.conj().T)
+    (wire,) = run[0].targets
+    m = np.eye(d, dtype=complex)
+    for op in run:
+        if op.kind in _DENSE_KINDS:
+            m = dense[op.kind] @ m
+        else:
+            src, g = _compile_run([op], [wire], d)
+            m = g[:, None] * m[src]
+    return _apply_on_axes(t, m, [axes.index(wire)])
 
 
 def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register, owned: bool) -> np.ndarray:
@@ -272,7 +310,8 @@ def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register, owned: bool) -> n
     ``t`` has one axis per wire of ``reg``, optionally followed by a
     column axis; it is modified only if ``owned``. Each maximal run of
     monomial gates (``_runs``) is one gather-and-phase pass over the
-    wires it touches; each Fourier gate is one matmul. The passes see
+    wires it touches; each stretch of uncontrolled gates on one wire that
+    holds a Fourier gate is one product with its d x d matrix. The passes see
     ``t`` with its axes reordered so that the circuit's wires lead, in
     circuit order, and a run over them gathers along one axis. A run
     whose gates all hold some control wires at the same levels acts on
@@ -373,6 +412,36 @@ def build_vpx_circuit(d: int, n: int) -> Circuit:
     ops = [GateOp(kind="fourier", targets=(x,)) for x in w]
     ops += list(vpz.ops)
     ops += [GateOp(kind="fourier_dag", targets=(x,)) for x in w]
+    return Circuit(vpz.register, tuple(ops))
+
+
+def build_enc_factored(d: int, n: int) -> Circuit:
+    """Encryption V(P_X) V(P_Z) on (A, S_1..S_n) in 4n + 4 gates, three passes.
+
+    The ``build_vpz_circuit`` gates come first. Then a difference ladder,
+    X^(d-1) controlled by w[i+1] onto w[i] for i = 0..n-1, maps the digits
+    a_i to a_i - a_(i+1); in those coordinates a shift of all n + 1 digits
+    by k moves S_n only. P_X, X on every wire, is there X on S_n, so V(P_X)
+    is the ladder, then F, q and F^dag on S_n (the one-wire ``build_vpx_circuit``),
+    then the inverse ladder. The evaluator runs it as one gather, one
+    d x d product on S_n and one gather.
+    """
+    vpz = build_vpz_circuit(d, n)
+    w = vpz.register.wires
+    ops = list(vpz.ops)
+    ops += [
+        GateOp(kind="cpow", base="x", power=d - 1, controls=(w[i + 1],), targets=(w[i],))
+        for i in range(n)
+    ]
+    ops += [
+        GateOp(kind="fourier", targets=(w[n],)),
+        q_gate(d, wire=w[n]),
+        GateOp(kind="fourier_dag", targets=(w[n],)),
+    ]
+    ops += [
+        GateOp(kind="cpow", base="x", power=1, controls=(w[i + 1],), targets=(w[i],))
+        for i in reversed(range(n))
+    ]
     return Circuit(vpz.register, tuple(ops))
 
 

@@ -5,14 +5,16 @@ Encryption acts on (A, S_1..S_n); decryption acts on the target share
 and all locally kept wires (S_t, N_t, N_j for j != t).
 
 ``run_protocol`` executes only gate circuits of ``circuits``, on the
-state vector. It encrypts with the vpz and vpx circuits. By default it
-decrypts with the factored circuit (``build_udec_factored``, O(n)
-gates); with ``decrypt_with_circuit`` it runs the paper-literal circuit
-(``build_udec_circuit``, d^2 - 1 correction blocks) instead, so the two
-builders cross-check each other through one evaluator. The dense
-operators built here from the paper's formulas (``u_enc``, ``v_of_p``,
-``u_dec_dense``, ``dec_projector_sum``) are oracles only: the tests and
-``verify_identities`` use them, no run does.
+state vector. It encrypts with ``build_enc_factored``, three passes over
+the state; the paper-literal vpz and vpx circuits are its reference in
+the tests. By default it decrypts with the factored circuit
+(``build_udec_factored``, O(n) gates); with ``decrypt_with_circuit`` it
+runs the paper-literal circuit (``build_udec_circuit``, d^2 - 1
+correction blocks) instead, so the two builders cross-check each other
+through one evaluator. The dense operators built here from the paper's
+formulas (``u_enc``, ``v_of_p``, ``u_dec_dense``, ``dec_projector_sum``)
+are oracles only: the tests and ``verify_identities`` use them, no run
+does.
 
 The score also reads the state where it lies. ``share_marginals`` takes
 each share's marginal as a batched dot product over a view of the state,
@@ -52,9 +54,10 @@ class ProtocolParams:
     """Dimension d, party count n and the share receiving the state.
 
     Admits a (d, n) whose d^(2n+1)-amplitude state fits the state cap (at
-    n = 1, d <= 161). Besides the state a run forms no object larger than
-    one two-wire gate's d^2-entry gather table. Dense oracles cap their
-    own size.
+    n = 1, d <= 161). Besides the state and each pass's output, a run forms
+    no object larger than one monomial run's gather table, d^k entries for
+    the run's k wires: at most ``OPERATOR_DIM_CAP``, or d^2 for a lone
+    two-wire gate past it. Dense oracles cap their own size.
     """
 
     d: int
@@ -82,10 +85,10 @@ def oracle_dim(params: ProtocolParams) -> int:
 def suite_params(d: int, n: int) -> ProtocolParams:
     """Parameters of the identity suite at (d, n), refused above the size caps.
 
-    Besides the d^(n+1)-dimension dense oracles, the suite forms objects of
-    dimension d^3 at every n: the relay check's I x C on three wires, and
-    the trace-delta check's d^6-entry operator stack. At n = 1 that is the
-    binding rule.
+    Besides the d^(n+1)-dimension dense oracles, the suite forms one object
+    of dimension d^3 at every n, the relay check's I x C on three wires; the
+    Bell-basis checks form d^2 x d^2 arrays at most. At n = 1 the d^3 rule
+    is the binding one.
     """
     params = ProtocolParams(d, n)
     oracle_dim(params)
@@ -353,8 +356,7 @@ def run_protocol(
     t1 = time.perf_counter()
     timings["prepare"] = (t1 - t0) * 1e3
 
-    state = circuits.apply_circuit(state, circuits.build_vpz_circuit(d, n))
-    state = circuits.apply_circuit(state, circuits.build_vpx_circuit(d, n))
+    state = circuits.apply_circuit(state, circuits.build_enc_factored(d, n))
     t2 = time.perf_counter()
     timings["encrypt"] = (t2 - t1) * 1e3
 
@@ -534,18 +536,16 @@ def _check_partial_trace_product(d, rng, samples):
 
 
 def _check_bell_trace_delta(d):
-    """Tr((X^k Z^l x I)|Phi><Phi|(Z^-n X^-m x I)) = delta_km delta_ln."""
-    bell = gates.bell_amplitudes(d)
-    eye = np.eye(d)
-    ops = [np.kron(op, eye) for op in gates.weyl_table(d)]
-    worst = 0.0
-    for a, oa in enumerate(ops):
-        ma = np.outer(oa @ bell, bell.conj())
-        for b, ob in enumerate(ops):
-            # right factor Z^-n X^-m equals (X^m Z^n)^dag
-            tr = np.einsum("ij,ji->", ma, ob.conj().T)
-            worst = max(worst, abs(tr - (1.0 if a == b else 0.0)))
-    return worst
+    """Tr((X^k Z^l x I)|Phi><Phi|(Z^-n X^-m x I)) = delta_km delta_ln.
+
+    The right factor Z^-n X^-m is (X^m Z^n)^dag, so with v_a = (O_a x I)|Phi>
+    the trace is <v_b|v_a>, an entry of the Gram matrix of the d^2 vectors:
+    O(d^6), where a trace per index pair takes O(d^8).
+    """
+    pair = gates.bell_amplitudes(d).reshape(d, d)
+    v = (gates.weyl_table(d) @ pair).reshape(d * d, d * d)  # row a is v_a
+    gram = v.conj() @ v.T
+    return max_abs_diff(gram, np.eye(d * d))
 
 
 def _check_encryption_unitary(params):

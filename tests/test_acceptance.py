@@ -11,6 +11,7 @@ import numpy as np
 from quditclone import (
     ProtocolParams,
     autocorr2d,
+    build_enc_factored,
     build_tkl,
     build_udec_circuit,
     build_vpx_circuit,
@@ -142,6 +143,7 @@ def test_circuit_dense_equivalence():
             ("vpz", build_vpz_circuit(d, n), v_of_p(pauli_product("z", d, n), d)),
             ("vpx", build_vpx_circuit(d, n), v_of_p(pauli_product("x", d, n), d)),
             ("udec", build_udec_circuit(params), u_dec_dense(params)),
+            ("enc", build_enc_factored(d, n), u_enc(params)),
         ]
         for name, circ, dense in cases:
             dev = max_abs_diff(circuit_to_unitary(circ), dense)

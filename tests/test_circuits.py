@@ -12,6 +12,7 @@ from quditclone import (
     Register,
     StateVector,
     apply_circuit,
+    build_enc_factored,
     build_tbar,
     build_tkl,
     build_udec_circuit,
@@ -310,7 +311,7 @@ def test_apply_circuit_matches_embedded_unitary():
     rng = np.random.default_rng(23)
     for d, n in [(2, 1), (3, 1), (2, 2), (4, 2), (2, 3), (3, 3)]:
         reg = protocol_register(d, n)
-        circs = [build_vpz_circuit(d, n), build_vpx_circuit(d, n)]
+        circs = [build_vpz_circuit(d, n), build_vpx_circuit(d, n), build_enc_factored(d, n)]
         circs += [build_udec_circuit(ProtocolParams(d, n, t)) for t in sorted({1, n})]
         for circ in circs:
             state = StateVector(reg, random_unit_vector(rng, reg.dim))
@@ -320,16 +321,63 @@ def test_apply_circuit_matches_embedded_unitary():
 
 
 def test_encryption_circuits_match_u_enc_on_run_large_grid():
-    # the benchmark's run-large (d, n): vpz then vpx on the state is u_enc
+    # the benchmark's run-large (d, n): vpz then vpx on the state is u_enc,
+    # and so is the factored encryption circuit
     rng = np.random.default_rng(37)
     for d, n in [(2, 8), (3, 5), (4, 4), (5, 3), (6, 3)]:
         reg = protocol_register(d, n)
         state = StateVector(reg, random_unit_vector(rng, reg.dim))
-        got = apply_circuit(apply_circuit(state, build_vpz_circuit(d, n)),
-                            build_vpx_circuit(d, n))
         wires = ["A"] + [f"S{i}" for i in range(1, n + 1)]
         want = embed_apply(state, u_enc(ProtocolParams(d, n)), wires)
-        assert max_abs_diff(got.amplitudes, want.amplitudes) < 1e-12, (d, n)
+        literal = apply_circuit(apply_circuit(state, build_vpz_circuit(d, n)),
+                                build_vpx_circuit(d, n))
+        factored = apply_circuit(state, build_enc_factored(d, n))
+        for got in (literal, factored):
+            assert max_abs_diff(got.amplitudes, want.amplitudes) < 1e-12, (d, n)
+
+
+def test_enc_factored_tally_and_passes():
+    # 4n + 4 gates: the vpz gates, the difference ladder, F q F^dag on S_n and
+    # the inverse ladder; 2d one-qudit gates (two Fourier gates and two
+    # diagonals of d - 1 rotations each) and 4n two-qudit gates. Three passes
+    # while the leading ladder's n + 1 wires fit one gather
+    for d in range(2, 11):
+        for n in range(1, 6):
+            circ = build_enc_factored(d, n)
+            assert len(circ.ops) == 4 * n + 4
+            assert tally_gates(circ) == {"one_qudit": 2 * d, "two_qudit": 4 * n,
+                                         "multi": 0}, (d, n)
+            if d ** (n + 1) <= OPERATOR_DIM_CAP:
+                assert len(_runs(circ.ops, d)) == 3, (d, n)
+
+
+def test_one_wire_stretch_is_one_pass():
+    # uncontrolled gates on one wire, Fourier gates among them, are one pass
+    # equal to their matrix product; a two-wire gate after them is another
+    d = 3
+    reg = Register(d, ("a", "b"))
+    stretch = [
+        GateOp(kind="diag", targets=("a",), phases=(0.3, -1.1, 2.0)),
+        GateOp(kind="fourier", targets=("a",)),
+        GateOp(kind="xpow", power=2, targets=("a",)),
+        GateOp(kind="fourier_dag", targets=("a",)),
+    ]
+    passes = _runs(stretch, d)
+    assert len(passes) == 1 and passes[0] == ({}, stretch)
+    want = np.eye(d, dtype=complex)
+    for m in (np.diag(np.exp(1j * np.array(stretch[0].phases))), fourier(d),
+              x_power(d, 2), fourier(d).conj().T):
+        want = m @ want
+    got = circuit_to_unitary(Circuit(reg, tuple(stretch)))
+    assert max_abs_diff(got, np.kron(want, np.eye(d))) < 1e-14
+    cx = GateOp(kind="cpow", base="x", power=1, controls=("a",), targets=("b",))
+    for tail in (cx, GateOp(kind="zpow", power=1, targets=("b",))):
+        passes = _runs(stretch + [tail], d)
+        assert [run for _, run in passes] == [stretch, [tail]]
+    # nor does a stretch take in a gate on its wire that has a control
+    cz = GateOp(kind="zpow", power=1, targets=("a",), controls=("b",), control_levels=(1,))
+    passes = _runs(stretch + [cz], d)
+    assert len(passes) == 2 and passes[0] == ({}, stretch) and passes[1][0] == {"b": 1}
 
 
 def test_monomial_run_over_the_cap_is_split():

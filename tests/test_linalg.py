@@ -194,6 +194,22 @@ def test_is_unitary_reports_deviation():
     assert check.max_deviation == pytest.approx(0.21)
 
 
+def test_is_unitary_monomial_scan_matches_product():
+    # a matrix with one nonzero per row and column takes the O(D^2) scan;
+    # its deviation is that of the product M M^dag - I
+    rng = np.random.default_rng(12)
+    perm = rng.permutation(27)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
+    cases = [kron(shift_x(3), phase_z(3)), np.eye(27)[perm] * phases]
+    cases.append(cases[-1] * np.where(np.arange(27) == 5, 1.0 + 1e-6, 1.0))
+    cases.append(np.diag([1.0, 0.0]))  # a zero row is not monomial
+    for m in cases:
+        check = is_unitary(m, 1e-10)
+        want = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
+        assert abs(check.max_deviation - want) < 1e-15
+        assert bool(check) == (want <= 1e-10)
+
+
 def test_overlap_basics():
     rng = np.random.default_rng(8)
     reg = Register(3, ("a",))

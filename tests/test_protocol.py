@@ -35,8 +35,8 @@ from quditclone import (
     z_power,
 )
 from quditclone.cazac import chu
-from quditclone.gates import bell_amplitudes, bell_basis
-from quditclone.protocol import _check_projector_algebra
+from quditclone.gates import bell_amplitudes, bell_basis, weyl_table
+from quditclone.protocol import _check_bell_trace_delta, _check_projector_algebra
 
 TOL = 1e-10
 
@@ -265,6 +265,21 @@ def test_projector_algebra_check_equals_literal_products():
             expect[a] = projs[a]
             literal = max(literal, max_abs_diff(projs[a] @ projs, expect))
         assert abs(_check_projector_algebra(d) - literal) < 1e-15, d
+
+
+def test_bell_trace_delta_check_equals_literal_traces():
+    # the check's Gram-matrix form is the worst deviation of every trace
+    # Tr((O_a x I)|Phi><Phi|(O_b^dag x I)) from delta_ab
+    for d in range(2, 6):
+        bell = bell_amplitudes(d)
+        ops = [np.kron(op, np.eye(d)) for op in weyl_table(d)]
+        literal = 0.0
+        for a, oa in enumerate(ops):
+            ma = np.outer(oa @ bell, bell.conj())
+            for b, ob in enumerate(ops):
+                tr = np.einsum("ij,ji->", ma, ob.conj().T)
+                literal = max(literal, abs(tr - (1.0 if a == b else 0.0)))
+        assert abs(_check_bell_trace_delta(d) - literal) < 1e-15, d
 
 
 def test_run_protocol_multi_share():
