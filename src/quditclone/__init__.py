@@ -17,7 +17,6 @@ from .linalg import (
     SizeCapError,
     StateVector,
     UnitaryCheck,
-    basis_state,
     embed_apply,
     is_unitary,
     kron,
@@ -29,25 +28,17 @@ from .linalg import (
     reduced_density,
 )
 from .gates import (
-    WeylIndex,
-    bell_basis_state,
-    bell_state,
-    controlled_power,
     fourier,
-    p_controlled,
     phase_z,
     shift_x,
     swap_gate,
-    weyl_displacement,
     x_power,
     z_power,
 )
 from .cazac import (
     ChuSequence,
-    CoeffGrid,
     autocorr2d,
     chu,
-    coeff_grid,
     gauss_sum,
     periodic_autocorr,
     zadoff_chu,

@@ -60,27 +60,6 @@ def chu(d: int) -> ChuSequence:
     return zadoff_chu(d, 1, 0)
 
 
-@dataclass(frozen=True)
-class CoeffGrid:
-    """The d x d coefficient grid c_kl = c(k) * c(l)."""
-
-    d: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", ent)
-        if ent.shape != (self.d, self.d):
-            raise ValueError("grid shape does not match d")
-        if np.max(np.abs(np.abs(ent) - 1.0)) > DEFAULT_TOL:
-            raise ValueError("grid entries must have unit modulus")
-
-
-def coeff_grid(d: int) -> CoeffGrid:
-    c = chu(d).values
-    return CoeffGrid(d, np.outer(c, c))
-
-
 def periodic_autocorr(seq, shift: int) -> complex:
     """(1/L) sum_k seq[k] * conj(seq[(k+shift) mod L])."""
     seq = np.asarray(seq, dtype=complex).reshape(-1)

@@ -487,10 +487,11 @@ def _tkl_ops(
 
     ``c`` holds the Chu coefficients. The coefficient phase is a
     controlled global phase (the drawn wire is immaterial); each
-    remaining local wire gets Z^-l then X^k.
+    remaining local wire gets Z^-l then X^k. (k, l) are also the control
+    levels, so ``Circuit`` refuses exponents outside 0..d-1.
     """
     d = len(c)
-    phase = float(-np.angle(c[k] * c[l]))  # conj(c_kl)/conj(c_00), c_00 = 1
+    phase = float(-np.angle(c[k % d] * c[l % d]))  # conj(c_kl)/conj(c_00), c_00 = 1
     controls = (s1, n1)
     levels = (k, l)
     ops = [
@@ -510,7 +511,6 @@ def _tkl_ops(
 
 def build_tkl(d: int, n: int, k: int, l: int) -> Circuit:
     """Conditional correction block T_kl on (S1, N1, S2, N2..Nn)."""
-    gates.WeylIndex(d, k, l)  # validates ranges
     if n < 1:
         raise ValueError("at least one share required")
     if n == 1:

@@ -10,11 +10,9 @@ positive powers (X^-m = X^{d-m}), exact by the order-d group structure.
 ``weyl_table`` is the one build of all d^2 X^k Z^l; ``bell_basis`` scales it.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Register, StateVector, _check_dim, is_unitary
+from .linalg import _check_dim
 
 
 def omega(d: int) -> complex:
@@ -59,43 +57,6 @@ def z_power(d: int, l: int) -> np.ndarray:
     return np.diag(z_phases(d, l))
 
 
-def controlled_power(u: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """C(U)|j>|k> = |j> U^j |k> on d^2 (control first)."""
-    _check_dim(d)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
-        raise ValueError(f"controlled_power: gate shape {u.shape}, expected ({d}, {d})")
-    check = is_unitary(u, tol)
-    if not check:
-        raise ValueError(
-            f"controlled_power: gate is not unitary (deviation {check.max_deviation:.3e})"
-        )
-    out = np.zeros((d * d, d * d), dtype=complex)
-    up = np.eye(d, dtype=complex)
-    for j in range(d):
-        out[j * d:(j + 1) * d, j * d:(j + 1) * d] = up
-        up = u @ up
-    return out
-
-
-def p_controlled(u: np.ndarray, d: int, p: int, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """C_p(U)|j>|k> = |j> U^{j delta_{p,j}} |k>: applies U^p only when j = p."""
-    _check_dim(d)
-    if not 0 <= p < d:
-        raise ValueError(f"p_controlled: level {p} out of range for d={d}")
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (d, d):
-        raise ValueError(f"p_controlled: gate shape {u.shape}, expected ({d}, {d})")
-    check = is_unitary(u, tol)
-    if not check:
-        raise ValueError(
-            f"p_controlled: gate is not unitary (deviation {check.max_deviation:.3e})"
-        )
-    out = np.eye(d * d, dtype=complex)
-    out[p * d:(p + 1) * d, p * d:(p + 1) * d] = np.linalg.matrix_power(u, p)
-    return out
-
-
 def swap_gate(d: int) -> np.ndarray:
     """SWAP|j>|k> = |k>|j>."""
     _check_dim(d)
@@ -111,32 +72,6 @@ def bell_amplitudes(d: int) -> np.ndarray:
     v = np.zeros(d * d, dtype=complex)
     v[np.arange(d) * d + np.arange(d)] = 1.0
     return v / np.sqrt(d)
-
-
-def bell_state(d: int, wires=("q0", "q1")) -> StateVector:
-    """Generalized Bell state (1/sqrt d) sum_p |p>|p>."""
-    return StateVector(Register(d, tuple(wires)), bell_amplitudes(d))
-
-
-@dataclass(frozen=True)
-class WeylIndex:
-    """Exponent pair (k, l) of a displacement X^k Z^l in dimension d."""
-
-    d: int
-    k: int
-    l: int
-
-    def __post_init__(self):
-        _check_dim(self.d)
-        if not (0 <= self.k < self.d and 0 <= self.l < self.d):
-            raise ValueError(
-                f"Weyl exponents ({self.k}, {self.l}) out of range for d={self.d}"
-            )
-
-
-def weyl_displacement(idx: WeylIndex) -> np.ndarray:
-    """The displacement operator X^k Z^l."""
-    return x_power(idx.d, idx.k) @ z_power(idx.d, idx.l)
 
 
 def weyl_row(d: int, k, l):
@@ -159,11 +94,3 @@ def bell_basis(d: int) -> np.ndarray:
     out = weyl_table(d).reshape(d * d, d * d)
     return np.multiply(out, 1 / np.sqrt(d), out=out)
 
-
-def bell_basis_amplitudes(idx: WeylIndex) -> np.ndarray:
-    return bell_basis(idx.d)[idx.k * idx.d + idx.l].copy()  # not a view of d^4 entries
-
-
-def bell_basis_state(idx: WeylIndex, wires=("q0", "q1")) -> StateVector:
-    """Bell-basis member (X^k Z^l x I)|Phi_d>; orthonormal over all (k, l)."""
-    return StateVector(Register(idx.d, tuple(wires)), bell_basis_amplitudes(idx))

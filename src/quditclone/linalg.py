@@ -167,21 +167,6 @@ class DensityMatrix:
                 raise ValueError("density matrix has a negative eigenvalue")
 
 
-def basis_state(register: Register, digits) -> StateVector:
-    """Computational basis ket |digits> in register order."""
-    digits = tuple(digits)
-    if len(digits) != register.num_wires:
-        raise ValueError("one digit per wire required")
-    idx = 0
-    for x in digits:
-        if not 0 <= x < register.d:
-            raise ValueError(f"digit {x} out of range for d={register.d}")
-        idx = idx * register.d + x
-    amps = np.zeros(register.dim, dtype=complex)
-    amps[idx] = 1.0
-    return StateVector(register, amps)
-
-
 def product_state(register: Register, parts) -> StateVector:
     """Assemble a product state from per-group amplitude factors.
 

@@ -4,7 +4,6 @@ import pytest
 from quditclone import (
     autocorr2d,
     chu,
-    coeff_grid,
     gauss_sum,
     max_abs_diff,
     periodic_autocorr,
@@ -39,13 +38,15 @@ def test_zadoff_chu_rejects_shared_factor():
 
 
 def test_coeff_grid_d2_values():
-    g = coeff_grid(2).entries
+    c = chu(2).values
+    g = np.outer(c, c)
     assert max_abs_diff(g, np.array([[1, -1j], [-1j, -1]])) < 1e-15
 
 
 def test_coeff_grid_symmetry_and_corner():
     for d in range(2, 8):
-        g = coeff_grid(d).entries
+        c = chu(d).values
+        g = np.outer(c, c)
         assert g[0, 0] == pytest.approx(1.0)
         assert max_abs_diff(g, g.T) < 1e-15
 
@@ -119,7 +120,8 @@ def test_flat_spectrum():
 def test_grid_autocorrelation_vanishes_at_row_shifts():
     # flattening the grid row-major, shifts by whole rows stay CAZAC
     for d in range(2, 8):
-        flat = coeff_grid(d).entries.reshape(-1)
+        c = chu(d).values
+        flat = np.outer(c, c).reshape(-1)
         for a in range(1, d):
             assert abs(periodic_autocorr(flat, a * d)) < TOL
 

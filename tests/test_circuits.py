@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import random_unit_vector
+from conftest import controlled_power, p_controlled, random_unit_vector
 from quditclone import (
     Circuit,
     GateOp,
@@ -32,6 +32,7 @@ from quditclone import (
     protocol_register,
     q_entries,
     q_gate,
+    shift_x,
     tally_gates,
     u_dec_dense,
     u_enc,
@@ -41,7 +42,7 @@ from quditclone import (
 )
 from quditclone.cazac import chu
 from quditclone.circuits import _runs, _tbar_dag_ops, _tbar_ops
-from quditclone.gates import WeylIndex, bell_basis_amplitudes
+from quditclone.gates import bell_basis
 from quditclone.linalg import OPERATOR_DIM_CAP
 
 TOL = 1e-10
@@ -110,6 +111,10 @@ def test_circuit_rejects_control_levels_out_of_range():
             Circuit(Register(d, ("a", "b")), (op,))
     op = GateOp(kind="xpow", power=1, targets=("a",), controls=("b",), control_levels=(2,))
     Circuit(Register(3, ("a", "b")), (op,))  # the top level is valid
+    # a correction block's exponents (k, l) are its control levels
+    for k, l in ((3, 0), (0, -1)):
+        with pytest.raises(ValueError, match="control levels"):
+            build_tkl(3, 2, k, l)
 
 
 def test_circuit_rejects_diag_phase_count():
@@ -121,8 +126,6 @@ def test_circuit_rejects_diag_phase_count():
 
 
 def test_cpow_op_matches_controlled_power_gate():
-    from quditclone import controlled_power, shift_x
-
     for d in (2, 3, 5):
         reg = Register(d, ("c", "t"))
         circ = Circuit(
@@ -132,8 +135,6 @@ def test_cpow_op_matches_controlled_power_gate():
 
 
 def test_level_controlled_op_matches_p_controlled_gate():
-    from quditclone import p_controlled, shift_x
-
     for d, p in [(3, 2), (4, 3), (5, 1)]:
         reg = Register(d, ("c", "t"))
         # p_controlled applies X^p on the matching level; the IR spells
@@ -207,7 +208,7 @@ def test_tbar_maps_bell_basis_to_kets():
         tbar = build_tbar(d)
         for k in range(d):
             for l in range(d):
-                out = tbar @ bell_basis_amplitudes(WeylIndex(d, k, l))
+                out = tbar @ bell_basis(d)[k * d + l]
                 expected = np.zeros(d * d)
                 expected[k * d + l] = 1.0
                 assert max_abs_diff(out, expected) < TOL

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quditclone
 from quditclone.cli import main
 
 
@@ -283,3 +288,25 @@ def test_unwritable_output_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "counts", "--out", str(tmp_path))
     assert code == 2
     assert "error" in err
+
+
+def test_package_and_a_run_load_no_scipy():
+    # numpy is the only runtime dependency. This process has imported scipy
+    # for the test oracles, so the check runs in a fresh interpreter.
+    script = """
+import contextlib, io, json, sys
+import quditclone, quditclone.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+on_import = scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = quditclone.cli.main(["run", "--d", "3", "--n", "2"])
+print(json.dumps([on_import, code, scipy_modules()]))
+"""
+    src = str(Path(quditclone.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], 0, []]

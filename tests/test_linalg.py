@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_matrix, random_unit_vector, random_unitary
+from conftest import basis_state, random_matrix, random_unit_vector, random_unitary
 from quditclone import (
     DensityMatrix,
     Register,
     SizeCapError,
     StateVector,
-    basis_state,
-    bell_state,
     embed_apply,
     fourier,
     is_unitary,
@@ -23,6 +21,7 @@ from quditclone import (
     swap_gate,
 )
 from quditclone.cazac import chu
+from quditclone.gates import bell_amplitudes
 
 TOL = 1e-10
 
@@ -76,7 +75,7 @@ def test_embed_apply_single_wire_flip():
 def test_embed_apply_swap_on_bell_pair():
     reg = Register(2, ("w0", "w1", "w2"))
     state = product_state(
-        reg, [(("w0",), [1, 0]), (("w1", "w2"), bell_state(2).amplitudes)]
+        reg, [(("w0",), [1, 0]), (("w1", "w2"), bell_amplitudes(2))]
     )
     out = embed_apply(state, swap_gate(2), ("w1", "w2"))
     assert max_abs_diff(out.amplitudes, state.amplitudes) < 1e-15
@@ -86,12 +85,12 @@ def test_embed_apply_weyl_on_data_wire():
     # X Z^2 |0> = |1>, phase omega^0 = 1
     reg = Register(3, ("A", "q0", "q1"))
     psi = product_state(
-        reg, [(("A",), [1, 0, 0]), (("q0", "q1"), bell_state(3).amplitudes)]
+        reg, [(("A",), [1, 0, 0]), (("q0", "q1"), bell_amplitudes(3))]
     )
     op = shift_x(3) @ np.linalg.matrix_power(phase_z(3), 2)
     out = embed_apply(psi, op, ("A",))
     expected = product_state(
-        reg, [(("A",), [0, 1, 0]), (("q0", "q1"), bell_state(3).amplitudes)]
+        reg, [(("A",), [0, 1, 0]), (("q0", "q1"), bell_amplitudes(3))]
     )
     assert abs(overlap(expected, out) - 1) < 1e-12
 
@@ -127,7 +126,7 @@ def test_embed_apply_disjoint_wires_commute():
 
 def test_partial_trace_bell_marginal():
     for d in (2, 3, 4):
-        state = bell_state(d)
+        state = StateVector(Register(d, ("q0", "q1")), bell_amplitudes(d))
         rho = DensityMatrix(
             state.register, np.outer(state.amplitudes, state.amplitudes.conj())
         )
@@ -163,7 +162,7 @@ def test_partial_trace_preserves_trace():
 
 
 def test_partial_trace_empty_keep_rejected():
-    state = bell_state(2)
+    state = StateVector(Register(2, ("q0", "q1")), bell_amplitudes(2))
     rho = DensityMatrix(
         state.register, np.outer(state.amplitudes, state.amplitudes.conj())
     )

@@ -6,6 +6,7 @@ evaluator agrees with a product of dense per-gate matrices."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import controlled_power
 from quditclone import (
     Circuit,
     GateOp,
@@ -18,7 +19,6 @@ from quditclone import (
     build_vpx_circuit,
     build_vpz_circuit,
     circuit_to_unitary,
-    controlled_power,
     decryption_scores,
     fourier,
     kron,

@@ -3,14 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_unit_vector
+from conftest import basis_state, random_matrix, random_unit_vector
 from quditclone import (
     ProtocolParams,
     Register,
     SizeCapError,
     StateVector,
     apply_circuit,
-    basis_state,
     build_udec_factored,
     c_gate,
     dec_projector_sum,
@@ -36,7 +35,7 @@ from quditclone import (
 )
 from quditclone.cazac import chu
 from quditclone.gates import bell_amplitudes, bell_basis, weyl_table
-from quditclone.protocol import _check_bell_trace_delta, _check_projector_algebra
+from quditclone.protocol import _check_bell_basis_orthonormal, _check_projector_algebra
 
 TOL = 1e-10
 
@@ -115,6 +114,22 @@ def test_exp_generalization_fails_unitarity_for_qudits():
         check = is_unitary(exp_generalization(shift_x(d), np.pi / 4), TOL)
         assert not check
         assert check.max_deviation > 1e-2
+
+
+def test_exp_generalization_matches_scipy_expm():
+    # scipy is a test-only dependency: its expm is the oracle for the numpy one
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(41)
+    for d in range(2, 9):
+        nilpotent = np.triu(random_matrix(rng, d), 1)
+        mats = (shift_x(d), phase_z(d), pauli_product("x", d, 1), pauli_product("z", d, 1),
+                random_matrix(rng, d), nilpotent)
+        for p in mats:
+            for theta in (0.0, np.pi / 4, 1.3, 7.0):
+                want = expm(-1j * theta * p)
+                got = exp_generalization(p, theta)
+                assert max_abs_diff(got, want) <= 1e-13 * np.abs(want).max(), (d, theta)
 
 
 def test_u_enc_unitary():
@@ -268,7 +283,8 @@ def test_projector_algebra_check_equals_literal_products():
 
 
 def test_bell_trace_delta_check_equals_literal_traces():
-    # the check's Gram-matrix form is the worst deviation of every trace
+    # verify reports bell_trace_delta from the orthonormality check: the Gram
+    # matrix's worst entry deviation is that of every trace
     # Tr((O_a x I)|Phi><Phi|(O_b^dag x I)) from delta_ab
     for d in range(2, 6):
         bell = bell_amplitudes(d)
@@ -279,7 +295,7 @@ def test_bell_trace_delta_check_equals_literal_traces():
             for b, ob in enumerate(ops):
                 tr = np.einsum("ij,ji->", ma, ob.conj().T)
                 literal = max(literal, abs(tr - (1.0 if a == b else 0.0)))
-        assert abs(_check_bell_trace_delta(d) - literal) < 1e-15, d
+        assert abs(_check_bell_basis_orthonormal(d) - literal) < 1e-15, d
 
 
 def test_run_protocol_multi_share():
