@@ -14,7 +14,10 @@ the two Fourier gates is monomial (a permutation of basis states times
 phases), so each maximal run of such gates is compiled into one gather
 over the wires it touches plus one phase multiply, and each maximal
 stretch of uncontrolled gates on one wire that holds a Fourier gate is
-one matrix product on that wire.
+one matrix product on that wire. A pass's gather table has d^k entries
+for the k wires it touches, so it is bounded by the circuit's own
+wires: at most d^(n+1) for the protocol circuits, far below the
+d^(2n+1)-amplitude state they run on.
 
 Encryption has two forms of the same operator V(P_X) V(P_Z): the
 paper-literal ``build_vpz_circuit`` and ``build_vpx_circuit``, whose
@@ -32,11 +35,12 @@ one.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import cazac, gates, linalg
+from . import cazac, gates
 from .linalg import (
     Register,
     StateVector,
@@ -44,7 +48,9 @@ from .linalg import (
     _check_dim,
     _check_operator_dim,
 )
-from .protocol import ProtocolParams
+
+if TYPE_CHECKING:  # annotations only: protocol imports this module
+    from .protocol import ProtocolParams
 
 KINDS = (
     "xpow",         # shift power X^power
@@ -155,7 +161,7 @@ def _bare_wire(op: GateOp) -> str | None:
     return op.targets[0] if len(op.targets) == 1 and not op.controls else None
 
 
-def _runs(ops, d: int) -> list[tuple[dict, list[GateOp]]]:
+def _runs(ops) -> list[tuple[dict, list[GateOp]]]:
     """Split ``ops`` into passes: maximal monomial runs and one-wire stretches.
 
     A run is either all monomial or confined to one bare wire: a maximal
@@ -163,47 +169,31 @@ def _runs(ops, d: int) -> list[tuple[dict, list[GateOp]]]:
     is one pass, its d x d product, and never takes in a gate on another
     wire or with a control. Each pass is (fixed, gates): ``fixed`` maps
     the control wires that every gate of a monomial run holds at the same
-    level to that level, and the gates come without those controls, to act
-    on that slice only. A monomial run ends before a gate that would take
-    its joint dimension, d to the number of wires it touches outside
-    ``fixed``, over ``OPERATOR_DIM_CAP``.
+    level to that level, so that the run acts on that slice only. A
+    monomial run's gather table has d^k entries for the k wires it
+    touches outside ``fixed``: never more than the circuit's own wires
+    hold, d^(n+1) for the protocol circuits.
     """
     runs: list[list] = []  # [fixed (wire, level) pairs, gates]
-    wires: set[str] = set()
     bare = None  # the last run's wire while every gate of it is bare on that wire
     dense = False  # whether the last run holds a Fourier gate
     for op in ops:
-        levels = set(zip(op.controls, op.control_levels)) if op.control_levels else set()
+        levels = set(zip(op.controls, op.control_levels))
         if runs and (dense or op.kind in _DENSE_KINDS):
             if bare is not None and _bare_wire(op) == bare:
                 runs[-1][1].append(op)
                 dense = True
                 continue
         elif runs:
-            fixed = runs[-1][0] & levels if levels else levels
-            joint = wires | set(op.wires)
-            free = joint - {w for w, _ in fixed} if fixed else joint
-            if d ** len(free) <= linalg.OPERATOR_DIM_CAP:
-                runs[-1][0] = fixed
-                runs[-1][1].append(op)
-                wires = joint
-                if _bare_wire(op) != bare:
-                    bare = None
-                continue
+            runs[-1][0] &= levels
+            runs[-1][1].append(op)
+            if _bare_wire(op) != bare:
+                bare = None
+            continue
         runs.append([levels, [op]])
-        wires = set(op.wires)
         bare = _bare_wire(op)
         dense = op.kind in _DENSE_KINDS
-    return [(dict(fixed), [_without(op, fixed) for op in run] if fixed else run)
-            for fixed, run in runs]
-
-
-def _without(op: GateOp, fixed: set) -> GateOp:
-    """``op`` without the (control wire, level) pairs in ``fixed``."""
-    pairs = list(zip(op.controls, op.control_levels))
-    kept = [i for i, pair in enumerate(pairs) if pair not in fixed]
-    return replace(op, controls=tuple(op.controls[i] for i in kept),
-                   control_levels=tuple(op.control_levels[i] for i in kept))
+    return [(dict(fixed), run) for fixed, run in runs]
 
 
 def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -227,7 +217,8 @@ def _compile_run(ops, wires, d: int) -> tuple[np.ndarray, np.ndarray]:
     for op in ops:
         ix: list = [slice(None)] * k
         for w, lv in zip(op.controls, op.control_levels):
-            ix[axis[w]] = lv
+            if w in axis:  # else the wire is fixed at lv in the slice the run sees
+                ix[axis[w]] = lv
         # views (the Ellipsis keeps a fully indexed slice 0-d), so updates
         # land in src and g; the level-indexed axes drop out of the slice,
         # which shifts the target axes down
@@ -280,14 +271,17 @@ def _pass(t: np.ndarray, run: list[GateOp], axes: list[str], d: int,
           dense: dict) -> np.ndarray:
     """Apply one pass of ``_runs`` to ``t``, whose axes hold the wires ``axes`` in order.
 
-    A monomial run is one gather over the wires it touches. A one-wire
+    A monomial run is one gather over the wires it touches among ``axes``;
+    a run with fixed levels sees their slice, whose ``axes`` leave the
+    fixed wires out, so their controls are already met. A one-wire
     stretch with a Fourier gate is composed into its d x d matrix, each
     monomial gate of it as a row gather of the product so far, and that
     matrix is one product on the wire's axis. ``dense`` maps each Fourier
     kind to its d x d matrix; it is filled on first use.
     """
     if not any(op.kind in _DENSE_KINDS for op in run):
-        wires = sorted({w for op in run for w in op.wires}, key=axes.index)
+        touched = {w for op in run for w in op.wires}
+        wires = [w for w in axes if w in touched]
         src, g = _compile_run(run, wires, d)
         return _gather(t, [axes.index(w) for w in wires], src, g)
     if not dense:
@@ -324,7 +318,7 @@ def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register, owned: bool) -> n
     perm = list(reg.positions(axes)) + list(range(reg.num_wires, t.ndim))
     if perm != sorted(perm):
         t, owned = np.ascontiguousarray(t.transpose(perm)), True
-    for fixed, run in _runs(circuit.ops, d):
+    for fixed, run in _runs(circuit.ops):
         if not fixed:
             t = _pass(t, run, axes, d, dense)
             owned = True
@@ -523,7 +517,7 @@ def build_tkl(d: int, n: int, k: int, l: int) -> Circuit:
     return Circuit(Register(d, wires), tuple(ops))
 
 
-def build_udec_circuit(params: ProtocolParams) -> Circuit:
+def build_udec_circuit(params: "ProtocolParams") -> Circuit:
     """Decryption circuit on (S_t, N_t, N_j for j != t), t the target share.
 
     Bell analyzer in, the d^2 - 1 nontrivial conditional corrections in
@@ -546,7 +540,7 @@ def build_udec_circuit(params: ProtocolParams) -> Circuit:
     return Circuit(reg, tuple(ops))
 
 
-def build_udec_factored(params: ProtocolParams) -> Circuit:
+def build_udec_factored(params: "ProtocolParams") -> Circuit:
     """Decryption circuit with O(n) gates, on the wires of ``build_udec_circuit``.
 
     The d^2 - 1 blocks of the literal circuit factor: after the analyzer

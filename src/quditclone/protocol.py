@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cazac, gates
+from . import cazac, circuits, gates
 from .linalg import (
     DEFAULT_TOL,
     Register,
@@ -54,9 +54,9 @@ class ProtocolParams:
 
     Admits a (d, n) whose d^(2n+1)-amplitude state fits the state cap (at
     n = 1, d <= 161). Besides the state and each pass's output, a run forms
-    no object larger than one monomial run's gather table, d^k entries for
-    the run's k wires: at most ``OPERATOR_DIM_CAP``, or d^2 for a lone
-    two-wire gate past it. Dense oracles cap their own size.
+    no object larger than one pass's gather table, d^k entries for the k
+    wires the pass touches: at most d^(n+1), 25,921 at (161, 1). Dense
+    oracles cap their own size.
     """
 
     d: int
@@ -348,8 +348,6 @@ def run_protocol(
     ``decryption_scores``): no reduced-density copy of the state, no pair
     density matrix and no second product state is formed.
     """
-    from . import circuits  # imported here: circuits imports this module
-
     d, n, t = params.d, params.n, params.target_party
     if psi is None:
         psi = random_state(d, seed)
@@ -484,13 +482,11 @@ def _check_bell_relay(d, rng, samples):
     return worst
 
 
-def _check_bell_basis_orthonormal(d):
-    v = gates.bell_basis(d)
-    gram = v.conj() @ v.T
-    return max_abs_diff(gram, np.eye(d * d))
+def _check_bell_basis_orthonormal(gram):
+    return max_abs_diff(gram, np.eye(len(gram)))
 
 
-def _check_projector_algebra(d):
+def _check_projector_algebra(v, gram):
     """Pi_a Pi_b = delta_ab Pi_a over all d^4 index pairs.
 
     With Pi_a = |b_a><b_a|, Pi_a Pi_b - delta_ab Pi_a = (G_ab - delta_ab)
@@ -498,16 +494,13 @@ def _check_projector_algebra(d):
     that difference is |G_ab - delta_ab| max|b_a| max|b_b|: O(d^6), where
     forming every product takes O(d^10).
     """
-    v = gates.bell_basis(d)
-    gram = v.conj() @ v.T
     peak = np.abs(v).max(axis=1)
-    return float((np.abs(gram - np.eye(d * d)) * np.outer(peak, peak)).max())
+    return float((np.abs(gram - np.eye(len(gram))) * np.outer(peak, peak)).max())
 
 
-def _check_projector_completeness(d):
-    v = gates.bell_basis(d)
+def _check_projector_completeness(v):
     total = np.einsum("ai,aj->ij", v, v.conj())
-    return max_abs_diff(total, np.eye(d * d))
+    return max_abs_diff(total, np.eye(len(v)))
 
 
 def _check_gauss_sum(d):
@@ -574,13 +567,15 @@ def verify_identities(
     """
     params = suite_params(d, n)
     rng = np.random.default_rng(seed)
-    orthonormal = _check_bell_basis_orthonormal(d)
+    v = gates.bell_basis(d)  # one Bell vector per row
+    gram = v.conj() @ v.T
+    orthonormal = _check_bell_basis_orthonormal(gram)
     checks = [
         IdentityCheck("ricochet", _check_ricochet(d, rng, samples), tol),
         IdentityCheck("bell_relay", _check_bell_relay(d, rng, samples), tol),
         IdentityCheck("bell_basis_orthonormal", orthonormal, tol),
-        IdentityCheck("projector_algebra", _check_projector_algebra(d), tol),
-        IdentityCheck("projector_completeness", _check_projector_completeness(d), tol),
+        IdentityCheck("projector_algebra", _check_projector_algebra(v, gram), tol),
+        IdentityCheck("projector_completeness", _check_projector_completeness(v), tol),
         IdentityCheck("gauss_sum", _check_gauss_sum(d), tol),
         IdentityCheck("bell_pair_invariance", _check_bell_pair_invariance(d), tol),
         IdentityCheck(

@@ -43,7 +43,6 @@ from quditclone import (
 from quditclone.cazac import chu
 from quditclone.circuits import _runs, _tbar_dag_ops, _tbar_ops
 from quditclone.gates import bell_basis
-from quditclone.linalg import OPERATOR_DIM_CAP
 
 TOL = 1e-10
 
@@ -295,17 +294,16 @@ def test_udec_circuit_matches_dense():
 
 def test_udec_factored_tally_is_linear():
     # 2d one-qudit gates (two analyzer Fourier gates and two diagonals of
-    # d - 1 rotations each) and 2n + 1 two-qudit gates, with no d^2 term;
-    # building allocates nothing, so (d, n) past the state cap are taken too
-    for d in range(2, 11):
-        for n in range(1, 6):
+    # d - 1 rotations each) and 2n + 1 two-qudit gates, with no d^2 term,
+    # and five passes; building allocates nothing, so (d, n) past the state
+    # cap are taken too
+    for d in range(2, 65):
+        for n in range(1, 11):
             circ = build_udec_factored(SimpleNamespace(d=d, n=n, target_party=n))
             assert len(circ.ops) == 2 * n + 5
             assert tally_gates(circ) == {"one_qudit": 2 * d, "two_qudit": 2 * n + 1,
                                          "multi": 0}, (d, n)
-            # five passes while the middle run's n + 1 wires fit one gather
-            if d ** (n + 1) <= OPERATOR_DIM_CAP:
-                assert len(_runs(circ.ops, d)) == 5, (d, n)
+            assert len(_runs(circ.ops)) == 5, (d, n)
 
 
 def test_apply_circuit_matches_embedded_unitary():
@@ -340,16 +338,15 @@ def test_encryption_circuits_match_u_enc_on_run_large_grid():
 def test_enc_factored_tally_and_passes():
     # 4n + 4 gates: the vpz gates, the difference ladder, F q F^dag on S_n and
     # the inverse ladder; 2d one-qudit gates (two Fourier gates and two
-    # diagonals of d - 1 rotations each) and 4n two-qudit gates. Three passes
-    # while the leading ladder's n + 1 wires fit one gather
-    for d in range(2, 11):
-        for n in range(1, 6):
+    # diagonals of d - 1 rotations each) and 4n two-qudit gates, in three
+    # passes
+    for d in range(2, 65):
+        for n in range(1, 11):
             circ = build_enc_factored(d, n)
             assert len(circ.ops) == 4 * n + 4
             assert tally_gates(circ) == {"one_qudit": 2 * d, "two_qudit": 4 * n,
                                          "multi": 0}, (d, n)
-            if d ** (n + 1) <= OPERATOR_DIM_CAP:
-                assert len(_runs(circ.ops, d)) == 3, (d, n)
+            assert len(_runs(circ.ops)) == 3, (d, n)
 
 
 def test_one_wire_stretch_is_one_pass():
@@ -363,7 +360,7 @@ def test_one_wire_stretch_is_one_pass():
         GateOp(kind="xpow", power=2, targets=("a",)),
         GateOp(kind="fourier_dag", targets=("a",)),
     ]
-    passes = _runs(stretch, d)
+    passes = _runs(stretch)
     assert len(passes) == 1 and passes[0] == ({}, stretch)
     want = np.eye(d, dtype=complex)
     for m in (np.diag(np.exp(1j * np.array(stretch[0].phases))), fourier(d),
@@ -373,26 +370,23 @@ def test_one_wire_stretch_is_one_pass():
     assert max_abs_diff(got, np.kron(want, np.eye(d))) < 1e-14
     cx = GateOp(kind="cpow", base="x", power=1, controls=("a",), targets=("b",))
     for tail in (cx, GateOp(kind="zpow", power=1, targets=("b",))):
-        passes = _runs(stretch + [tail], d)
+        passes = _runs(stretch + [tail])
         assert [run for _, run in passes] == [stretch, [tail]]
     # nor does a stretch take in a gate on its wire that has a control
     cz = GateOp(kind="zpow", power=1, targets=("a",), controls=("b",), control_levels=(1,))
-    passes = _runs(stretch + [cz], d)
+    passes = _runs(stretch + [cz])
     assert len(passes) == 2 and passes[0] == ({}, stretch) and passes[1][0] == {"b": 1}
 
 
-def test_monomial_run_over_the_cap_is_split():
-    # 2^13 > OPERATOR_DIM_CAP, so the ladder cannot be one pass; split, it
-    # must still equal the gates applied one at a time
+def test_thirteen_wire_ladder_is_one_pass():
+    # a monomial run is one pass however many wires it touches, here a
+    # 2^13-entry gather table; it equals the gates applied one at a time
     d, wires = 2, tuple(f"q{i}" for i in range(13))
     ops = [GateOp(kind="cpow", base="xz"[i % 2], power=1, controls=(wires[i],),
                   targets=(wires[i + 1],)) for i in range(12)]
     ops.insert(6, GateOp(kind="diag", targets=("q6",), phases=(0.3, -1.1)))
     circ = Circuit(Register(d, wires), tuple(ops))
-    passes = _runs(circ.ops, d)
-    assert len(passes) == 2
-    assert all(not fixed and d ** len({w for op in run for w in op.wires}) <= OPERATOR_DIM_CAP
-               for fixed, run in passes)
+    assert _runs(circ.ops) == [({}, ops)]
     rng = np.random.default_rng(41)
     state = StateVector(circ.register, random_unit_vector(rng, d ** 13))
     want = state
@@ -411,6 +405,46 @@ def test_apply_circuit_leaves_input_unmodified():
         out = apply_circuit(state, circ)
         assert np.array_equal(state.amplitudes, before)
         assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+def _on_register(m, wires, reg):
+    """``m`` on ``wires`` (in that order) kron the identity elsewhere, in ``reg``'s wire order."""
+    d, k = reg.d, reg.num_wires
+    order = list(wires) + [w for w in reg.wires if w not in wires]
+    full = np.kron(m, np.eye(d ** (k - len(wires))))
+    perm = [order.index(w) for w in reg.wires]
+    return full.reshape([d] * (2 * k)).transpose(perm + [k + p for p in perm]).reshape(
+        reg.dim, reg.dim)
+
+
+def test_level_controlled_fourier_gates_match_dense():
+    # F on a when b = 1, then F^dag on c when (a, b) = (2, 0): each is
+    # P x F + (I - P) x I for the projector P onto its control levels
+    d = 3
+    f, eye = fourier(d), np.eye(d)
+    reg = Register(d, ("a", "b", "c"))
+    circ = Circuit(reg, (
+        GateOp(kind="fourier", targets=("a",), controls=("b",), control_levels=(1,)),
+        GateOp(kind="fourier_dag", targets=("c",), controls=("a", "b"),
+               control_levels=(2, 0)),
+    ))
+    p1 = np.diag(eye[1])
+    p20 = np.kron(np.diag(eye[2]), np.diag(eye[0]))
+    m1 = np.kron(p1, f) + np.kron(eye - p1, eye)
+    m2 = np.kron(p20, f.conj().T) + np.kron(np.eye(d * d) - p20, eye)
+
+    def dense(r):  # the two gates, in order, on register r
+        return _on_register(m2, ("a", "b", "c"), r) @ _on_register(m1, ("b", "a"), r)
+
+    assert max_abs_diff(circuit_to_unitary(circ), dense(reg)) < 1e-14
+    # on a state whose wires come in another order
+    state_reg = Register(d, ("c", "a", "b"))
+    state = StateVector(state_reg, random_unit_vector(np.random.default_rng(43), state_reg.dim))
+    before = state.amplitudes.copy()
+    got = apply_circuit(state, circ)
+    assert max_abs_diff(got.amplitudes, dense(state_reg) @ before) < 1e-14
+    assert np.array_equal(state.amplitudes, before)
+    assert not np.shares_memory(got.amplitudes, state.amplitudes)
 
 
 def test_apply_circuit_rejects_foreign_register():

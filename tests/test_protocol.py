@@ -279,7 +279,7 @@ def test_projector_algebra_check_equals_literal_products():
             expect = np.zeros_like(projs)
             expect[a] = projs[a]
             literal = max(literal, max_abs_diff(projs[a] @ projs, expect))
-        assert abs(_check_projector_algebra(d) - literal) < 1e-15, d
+        assert abs(_check_projector_algebra(v, v.conj() @ v.T) - literal) < 1e-15, d
 
 
 def test_bell_trace_delta_check_equals_literal_traces():
@@ -295,7 +295,8 @@ def test_bell_trace_delta_check_equals_literal_traces():
             for b, ob in enumerate(ops):
                 tr = np.einsum("ij,ji->", ma, ob.conj().T)
                 literal = max(literal, abs(tr - (1.0 if a == b else 0.0)))
-        assert abs(_check_bell_basis_orthonormal(d) - literal) < 1e-15, d
+        v = bell_basis(d)
+        assert abs(_check_bell_basis_orthonormal(v.conj() @ v.T) - literal) < 1e-15, d
 
 
 def test_run_protocol_multi_share():
@@ -460,8 +461,8 @@ def test_run_protocol_state_cap():
 
 def test_protocol_params_admits_what_a_run_can_hold():
     # a run holds the d^(2n+1)-amplitude state (161^3 <= 2^22 < 162^3) and
-    # d^2-entry gate tables, never a d^(n+1)-dim operator; a huge n is
-    # refused without forming the power
+    # gather tables of at most d^(n+1) entries, never a d^(n+1)-dim
+    # operator; a huge n is refused without forming the power
     for d, n in ((17, 2), (21, 2), (64, 1), (65, 1), (161, 1), (2, 10)):
         ProtocolParams(d, n)
     for d, n in ((22, 2), (162, 1), (2, 11), (3, 10 ** 8)):
