@@ -14,9 +14,11 @@ the two Fourier gates is monomial (a permutation of basis states times
 phases), so each maximal run of such gates is compiled into one gather
 over the wires it touches plus one phase multiply, and each maximal
 stretch of uncontrolled gates on one wire that holds a Fourier gate is
-one matrix product on that wire. A pass's gather table has d^k entries
-for the k wires it touches, so it is bounded by the circuit's own
-wires: at most d^(n+1) for the protocol circuits, far below the
+one matrix product on that wire. A circuit is compiled into these
+passes on its first evaluation and keeps them, read-only, so evaluating
+it again only executes them. A pass's gather table has d^k entries for
+the k wires it touches, so it is bounded by the circuit's own wires: at
+most d^(n+1) for the protocol circuits, far below the
 d^(2n+1)-amplitude state they run on.
 
 Encryption has two forms of the same operator V(P_X) V(P_Z): the
@@ -36,7 +38,8 @@ one.
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -150,6 +153,11 @@ class Circuit:
     def to_ops_json(self) -> str:
         return json.dumps([op.to_dict() for op in self.ops], indent=2, sort_keys=True)
 
+    @cached_property
+    def _passes(self) -> tuple:
+        """The compiled passes (``_compile``), made on the first evaluation and kept."""
+        return _compile(self)
+
 
 # Every kind but these two is monomial, a permutation of basis states times
 # phases, so a run of them composes into one gather.
@@ -250,83 +258,115 @@ def _compile_run(ops, wires, d: int) -> tuple[np.ndarray, np.ndarray]:
     return src.reshape(-1), g.reshape(-1)
 
 
-def _gather(t: np.ndarray, positions, src: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """One pass out[y] = g[y] * t[src[y]] over the joint index of the sorted ``positions``."""
-    if not positions:
-        return t * g[0]
-    k, p0 = len(positions), positions[0]
-    d = t.shape[p0]
-    # the run's axes side by side (already so for the protocol circuits),
-    # so that their joint index is one axis of a reshape
-    lead = range(p0, p0 + k)
-    apart = positions[-1] - p0 != k - 1
-    x = np.moveaxis(t, positions, lead) if apart else t
-    out = np.take(np.ascontiguousarray(x).reshape(d ** p0, d ** k, -1), src, axis=1)
-    out *= g[:, None]
-    out = out.reshape(x.shape)
-    return np.moveaxis(out, lead, positions) if apart else out
+class _Gather(NamedTuple):
+    """A compiled monomial run: out[y] = g[y] * t[src[y]] over the joint index of ``positions``.
+
+    ``positions`` are sorted; ``fixed`` indexes the slice the run acts on,
+    ``()`` for the whole tensor.
+    """
+
+    fixed: tuple
+    positions: tuple[int, ...]
+    src: np.ndarray
+    g: np.ndarray
+
+    def apply(self, t: np.ndarray) -> np.ndarray:
+        positions, src, g = self.positions, self.src, self.g
+        if not positions:
+            return t * g[0]
+        k, p0 = len(positions), positions[0]
+        d = t.shape[p0]
+        # the run's axes side by side (already so for the protocol circuits),
+        # so that their joint index is one axis of a reshape
+        lead = range(p0, p0 + k)
+        apart = positions[-1] - p0 != k - 1
+        x = np.moveaxis(t, positions, lead) if apart else t
+        out = np.take(np.ascontiguousarray(x).reshape(d ** p0, d ** k, -1), src, axis=1)
+        out *= g[:, None]
+        out = out.reshape(x.shape)
+        return np.moveaxis(out, lead, positions) if apart else out
 
 
-def _pass(t: np.ndarray, run: list[GateOp], axes: list[str], d: int,
-          dense: dict) -> np.ndarray:
-    """Apply one pass of ``_runs`` to ``t``, whose axes hold the wires ``axes`` in order.
+class _Product(NamedTuple):
+    """A compiled one-wire stretch: one product with its d x d matrix ``m``.
 
-    A monomial run is one gather over the wires it touches among ``axes``;
-    a run with fixed levels sees their slice, whose ``axes`` leave the
+    ``fixed`` is as in ``_Gather``.
+    """
+
+    fixed: tuple
+    position: int
+    m: np.ndarray
+
+    def apply(self, t: np.ndarray) -> np.ndarray:
+        return _apply_on_axes(t, self.m, [self.position])
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _compile(circuit: Circuit) -> tuple:
+    """The passes of ``_runs(circuit.ops)``, for a tensor led by the circuit's wires.
+
+    A monomial run becomes its gather table over the wires it touches; a
+    run with fixed levels is indexed to their slice, whose axes leave the
     fixed wires out, so their controls are already met. A one-wire
     stretch with a Fourier gate is composed into its d x d matrix, each
-    monomial gate of it as a row gather of the product so far, and that
-    matrix is one product on the wire's axis. ``dense`` maps each Fourier
-    kind to its d x d matrix; it is filled on first use.
+    monomial gate of it as a row gather of the product so far. Positions
+    count the circuit's wires only, so the passes fit any register that
+    holds them. Every table is read-only.
     """
-    if not any(op.kind in _DENSE_KINDS for op in run):
-        touched = {w for op in run for w in op.wires}
-        wires = [w for w in axes if w in touched]
-        src, g = _compile_run(run, wires, d)
-        return _gather(t, [axes.index(w) for w in wires], src, g)
-    if not dense:
+    d, wires = circuit.register.d, circuit.register.wires
+    passes: list = []
+    for fixed, run in _runs(circuit.ops):
+        ix = (*(fixed.get(w, slice(None)) for w in wires), ...) if fixed else ()
+        axes = [w for w in wires if w not in fixed]
+        if not any(op.kind in _DENSE_KINDS for op in run):
+            touched = {w for op in run for w in op.wires}
+            on = [w for w in axes if w in touched]
+            src, g = _compile_run(run, on, d)
+            positions = tuple(axes.index(w) for w in on)
+            passes.append(_Gather(ix, positions, _read_only(src), _read_only(g)))
+            continue
+        (wire,) = run[0].targets
         f = gates.fourier(d)
-        dense.update(fourier=f, fourier_dag=f.conj().T)
-    (wire,) = run[0].targets
-    m = np.eye(d, dtype=complex)
-    for op in run:
-        if op.kind in _DENSE_KINDS:
-            m = dense[op.kind] @ m
-        else:
-            src, g = _compile_run([op], [wire], d)
-            m = g[:, None] * m[src]
-    return _apply_on_axes(t, m, [axes.index(wire)])
+        m = np.eye(d, dtype=complex)
+        for op in run:
+            if op.kind == "fourier":
+                m = f @ m
+            elif op.kind == "fourier_dag":
+                m = f.conj().T @ m
+            else:
+                src, g = _compile_run([op], [wire], d)
+                m = g[:, None] * m[src]
+        passes.append(_Product(ix, axes.index(wire), _read_only(m)))
+    return tuple(passes)
 
 
 def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register, owned: bool) -> np.ndarray:
-    """Left-multiply the circuit's gates, in order, into ``t``; return the result.
+    """Left-multiply the circuit's compiled passes, in order, into ``t``; return the result.
 
     ``t`` has one axis per wire of ``reg``, optionally followed by a
-    column axis; it is modified only if ``owned``. Each maximal run of
-    monomial gates (``_runs``) is one gather-and-phase pass over the
-    wires it touches; each stretch of uncontrolled gates on one wire that
-    holds a Fourier gate is one product with its d x d matrix. The passes see
-    ``t`` with its axes reordered so that the circuit's wires lead, in
-    circuit order, and a run over them gathers along one axis. A run
-    whose gates all hold some control wires at the same levels acts on
-    that slice only, written in place.
+    column axis; it is modified only if ``owned``. The passes were
+    compiled once per circuit (``Circuit._passes``); here they are only
+    executed. They see ``t`` with its axes reordered so that the
+    circuit's wires lead, in circuit order. A pass with fixed levels acts
+    on that slice only, written in place.
     """
-    d = reg.d
-    dense: dict = {}
     axes = list(circuit.register.wires)
     axes += [w for w in reg.wires if w not in axes]
     perm = list(reg.positions(axes)) + list(range(reg.num_wires, t.ndim))
     if perm != sorted(perm):
         t, owned = np.ascontiguousarray(t.transpose(perm)), True
-    for fixed, run in _runs(circuit.ops):
-        if not fixed:
-            t = _pass(t, run, axes, d, dense)
-            owned = True
+    for p in circuit._passes:
+        if not p.fixed:
+            t, owned = p.apply(t), True
             continue
         if not owned:
             t, owned = t.copy(), True
-        sub = t[(*(fixed.get(w, slice(None)) for w in axes), ...)]  # a view
-        sub[...] = _pass(sub, run, [w for w in axes if w not in fixed], d, dense)
+        sub = t[p.fixed]  # a view
+        sub[...] = p.apply(sub)
     return t.transpose(np.argsort(perm))
 
 
@@ -343,7 +383,9 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Run the circuit's gates on the state's wires of the same names.
 
     State wires the circuit does not name are left alone, and no dense
-    operator is built. The input state is not modified.
+    operator is built. The input state is not modified. The circuit is
+    compiled on its first evaluation, here or in ``circuit_to_unitary``,
+    and keeps its passes, so applying it again only executes them.
     """
     reg = state.register
     if reg.d != circuit.register.d:
@@ -418,10 +460,12 @@ def build_enc_factored(d: int, n: int) -> Circuit:
     by k moves S_n only. P_X, X on every wire, is there X on S_n, so V(P_X)
     is the ladder, then F, q and F^dag on S_n (the one-wire ``build_vpx_circuit``),
     then the inverse ladder. The evaluator runs it as one gather, one
-    d x d product on S_n and one gather.
+    d x d product on S_n and one gather. The q gate on S_n is the one
+    ``build_vpz_circuit`` placed there, used twice.
     """
     vpz = build_vpz_circuit(d, n)
     w = vpz.register.wires
+    q = vpz.ops[n]
     ops = list(vpz.ops)
     ops += [
         GateOp(kind="cpow", base="x", power=d - 1, controls=(w[i + 1],), targets=(w[i],))
@@ -429,7 +473,7 @@ def build_enc_factored(d: int, n: int) -> Circuit:
     ]
     ops += [
         GateOp(kind="fourier", targets=(w[n],)),
-        q_gate(d, wire=w[n]),
+        q,
         GateOp(kind="fourier_dag", targets=(w[n],)),
     ]
     ops += [

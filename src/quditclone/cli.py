@@ -7,6 +7,7 @@ is passed, since they would break byte-identical output.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -200,8 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was (no flag appends to a shared
+    # default), so one serves every call of ``main`` in a process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; return its exit code.
+
+    The parser is built on the first call and reused; each call parses
+    into a fresh namespace, so no flag carries over between calls.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SizeCapError, ValueError, OSError) as exc:

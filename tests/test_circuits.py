@@ -40,6 +40,7 @@ from quditclone import (
     x_power,
     z_power,
 )
+from quditclone import circuits, protocol
 from quditclone.cazac import chu
 from quditclone.circuits import _runs, _tbar_dag_ops, _tbar_ops
 from quditclone.gates import bell_basis
@@ -347,6 +348,51 @@ def test_enc_factored_tally_and_passes():
             assert tally_gates(circ) == {"one_qudit": 2 * d, "two_qudit": 4 * n,
                                          "multi": 0}, (d, n)
             assert len(_runs(circ.ops)) == 3, (d, n)
+
+
+def test_enc_factored_builds_its_q_gate_once(monkeypatch):
+    # the q gate between F and F^dag on S_n is the vpz one, not a second build
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return q_gate(*args, **kwargs)
+
+    monkeypatch.setattr(circuits, "q_gate", counted)
+    d, n = 3, 2
+    ops = build_enc_factored(d, n).ops
+    assert len(calls) == 1
+    assert ops[n] == ops[3 * n + 2] == q_gate(d, wire=f"S{n}")
+    assert [op.kind for op in ops[3 * n + 1:3 * n + 4]] == ["fourier", "diag", "fourier_dag"]
+
+
+def test_compiled_tables_are_read_only_and_reusable():
+    # a run's circuits are shared across runs, so their tables must not change
+    rng = np.random.default_rng(47)
+    params = ProtocolParams(3, 2, target_party=2)
+    reg = protocol_register(3, 2)
+    fresh = [build_enc_factored(3, 2), build_udec_factored(params), build_udec_circuit(params)]
+    cached = [*protocol._run_circuits(3, 2, 2, False), protocol._run_circuits(3, 2, 2, True)[1]]
+    for circ, twin in zip(cached, fresh):
+        assert circ == twin and circ is not twin
+        states = [StateVector(reg, random_unit_vector(rng, reg.dim)) for _ in range(2)]
+        before = [s.amplitudes.copy() for s in states]
+        want = circuit_to_unitary(twin)
+        for state, amps in zip(states, before):
+            got = apply_circuit(state, circ)
+            expect = embed_apply(state, want, circ.register.wires)
+            assert max_abs_diff(got.amplitudes, expect.amplitudes) < 1e-12
+            assert np.array_equal(state.amplitudes, amps)
+        kinds = set()
+        for p in circ._passes:
+            for name in ("src", "g", "m"):
+                table = getattr(p, name, None)
+                if table is None:
+                    continue
+                kinds.add(name)
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 0
+        assert kinds == {"src", "g", "m"}
 
 
 def test_one_wire_stretch_is_one_pass():

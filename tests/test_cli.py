@@ -290,6 +290,40 @@ def test_unwritable_output_is_config_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_one_parser_serves_every_call(capsys):
+    # main reuses one parser; each call must print what a fresh process
+    # prints for the same argv, with no flag carried over from the last
+    sequence = [
+        ("run", "--d", "3", "--n", "2", "--seed", "4", "--circuit", "--timings"),
+        ("run", "--d", "3", "--n", "2", "--seed", "4"),
+        ("run", "--d", "3"),
+        ("verify", "--d-range", "2..3"),
+        ("circuit-dump", "udec", "--d", "3", "--n", "2"),
+    ]
+    src = str(Path(quditclone.__file__).parents[1])
+    for argv in sequence:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditclone", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert code == proc.returncode, argv
+        assert captured.err == proc.stderr, argv
+        if "--timings" in argv:
+            # wall-clock values differ between processes; the rest may not
+            got, want = json.loads(captured.out), json.loads(proc.stdout)
+            assert set(got.pop("timings_ms")) == set(want.pop("timings_ms"))
+            assert got == want and got["used_circuit"] is True
+        else:
+            assert captured.out == proc.stdout, argv
+    assert code == 0
+
+
 def test_package_and_a_run_load_no_scipy():
     # numpy is the only runtime dependency. This process has imported scipy
     # for the test oracles, so the check runs in a fresh interpreter.

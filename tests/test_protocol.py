@@ -412,6 +412,48 @@ def test_run_protocol_scores_without_density_oracles(monkeypatch):
         assert all(r["fidelity"] > 1 - TOL for r in report.bell_residuals)
 
 
+def test_run_protocol_reuses_its_circuits(monkeypatch):
+    # a second run at the same (d, n, t, path) builds and compiles nothing
+    from quditclone import circuits, protocol
+
+    names = ("build_enc_factored", "build_udec_factored", "build_udec_circuit",
+             "_compile_run")
+    real = {name: getattr(circuits, name) for name in names}
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real[name](*args, **kwargs)
+        return call
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cached run built or compiled a circuit")
+
+    protocol._run_circuits.cache_clear()
+    for name in names:
+        monkeypatch.setattr(circuits, name, counted(name))
+    params = ProtocolParams(3, 2, target_party=1)
+    first = run_protocol(params, seed=17)
+    assert calls["build_enc_factored"] == calls["build_udec_factored"] == 1
+    assert calls["_compile_run"] > 0
+    for name in names:
+        monkeypatch.setattr(circuits, name, refuse)
+    again = run_protocol(params, seed=17)
+    assert again.to_dict() == first.to_dict()
+    # another target, and the literal path, each build their own circuits
+    calls.update(dict.fromkeys(names, 0))
+    for name in names:
+        monkeypatch.setattr(circuits, name, counted(name))
+    other = run_protocol(ProtocolParams(3, 2, target_party=2), seed=17)
+    literal = run_protocol(params, seed=17, decrypt_with_circuit=True)
+    assert calls["build_enc_factored"] == 2
+    assert calls["build_udec_factored"] == calls["build_udec_circuit"] == 1
+    assert other.passed and literal.passed
+    assert literal.decryption_fidelity == pytest.approx(first.decryption_fidelity, abs=1e-12)
+    assert other.bell_residuals[0]["pair"] == ["A", "N2"]
+
+
 def test_run_report_is_plain_json():
     # an np.float64 score would make `passed` an np.bool_, which json refuses
     for n in (1, 2):
