@@ -37,6 +37,7 @@ one.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -259,32 +260,36 @@ def _compile_run(ops, wires, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Gather(NamedTuple):
-    """A compiled monomial run: out[y] = g[y] * t[src[y]] over the joint index of ``positions``.
+    """A compiled monomial run: out[y] = g[y] * x[src[y]] over the joint index of ``positions``.
 
     ``positions`` are sorted; ``fixed`` indexes the slice the run acts on,
-    ``()`` for the whole tensor.
+    ``()`` for the whole tensor. ``g`` is None when every phase is 1.
     """
 
     fixed: tuple
     positions: tuple[int, ...]
     src: np.ndarray
-    g: np.ndarray
+    g: np.ndarray | None
 
-    def apply(self, t: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write the run applied to ``x`` into ``out``, a C-contiguous array of its shape."""
         positions, src, g = self.positions, self.src, self.g
-        if not positions:
-            return t * g[0]
-        k, p0 = len(positions), positions[0]
-        d = t.shape[p0]
+        k, p0 = len(positions), positions[0] if positions else 0
         # the run's axes side by side (already so for the protocol circuits),
         # so that their joint index is one axis of a reshape
-        lead = range(p0, p0 + k)
-        apart = positions[-1] - p0 != k - 1
-        x = np.moveaxis(t, positions, lead) if apart else t
-        out = np.take(np.ascontiguousarray(x).reshape(d ** p0, d ** k, -1), src, axis=1)
-        out *= g[:, None]
-        out = out.reshape(x.shape)
-        return np.moveaxis(out, lead, positions) if apart else out
+        side = range(p0, p0 + k)
+        apart = k > 0 and positions[-1] - p0 != k - 1
+        if apart:
+            x = np.moveaxis(x, positions, side)
+        shape = (math.prod(x.shape[:p0]), len(src), -1)
+        # in range by construction, so "clip" never clips; unlike "raise"
+        # it writes straight into ``out``
+        y = np.take(x.reshape(shape), src, axis=1, mode="clip",
+                    out=None if apart else out.reshape(shape))
+        if g is not None:
+            y *= g[:, None]
+        if apart:
+            np.moveaxis(out, positions, side)[...] = y.reshape(x.shape)
 
 
 class _Product(NamedTuple):
@@ -297,8 +302,9 @@ class _Product(NamedTuple):
     position: int
     m: np.ndarray
 
-    def apply(self, t: np.ndarray) -> np.ndarray:
-        return _apply_on_axes(t, self.m, [self.position])
+    def apply(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write the product with ``x`` into ``out``, a C-contiguous array of its shape."""
+        _apply_on_axes(x, self.m, [self.position], out=out)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -307,27 +313,31 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _compile(circuit: Circuit) -> tuple:
-    """The passes of ``_runs(circuit.ops)``, for a tensor led by the circuit's wires.
+    """The passes of ``_runs(circuit.ops)``, for a tensor of shape (lead, d, .., d, trail).
 
-    A monomial run becomes its gather table over the wires it touches; a
-    run with fixed levels is indexed to their slice, whose axes leave the
-    fixed wires out, so their controls are already met. A one-wire
-    stretch with a Fourier gate is composed into its d x d matrix, each
-    monomial gate of it as a row gather of the product so far. Positions
-    count the circuit's wires only, so the passes fit any register that
-    holds them. Every table is read-only.
+    The d axes are the circuit's wires, in circuit order; the lead and
+    trail axes hold every other wire of the register, and a column axis
+    if any. A monomial run becomes its gather table over the wires it
+    touches; a run with fixed levels is indexed to their slice, whose
+    axes leave the fixed wires out, so their controls are already met.
+    A one-wire stretch with a Fourier gate is composed into its d x d
+    matrix, each monomial gate of it as a row gather of the product so
+    far. Positions count the lead axis and the circuit's wires only, so
+    the passes fit any register that holds them. Every table is
+    read-only.
     """
     d, wires = circuit.register.d, circuit.register.wires
     passes: list = []
     for fixed, run in _runs(circuit.ops):
-        ix = (*(fixed.get(w, slice(None)) for w in wires), ...) if fixed else ()
+        ix = (slice(None), *(fixed.get(w, slice(None)) for w in wires), ...) if fixed else ()
         axes = [w for w in wires if w not in fixed]
         if not any(op.kind in _DENSE_KINDS for op in run):
             touched = {w for op in run for w in op.wires}
             on = [w for w in axes if w in touched]
             src, g = _compile_run(run, on, d)
-            positions = tuple(axes.index(w) for w in on)
-            passes.append(_Gather(ix, positions, _read_only(src), _read_only(g)))
+            positions = tuple(axes.index(w) + 1 for w in on)
+            g = None if (g == 1).all() else _read_only(g)
+            passes.append(_Gather(ix, positions, _read_only(src), g))
             continue
         (wire,) = run[0].targets
         f = gates.fourier(d)
@@ -340,34 +350,49 @@ def _compile(circuit: Circuit) -> tuple:
             else:
                 src, g = _compile_run([op], [wire], d)
                 m = g[:, None] * m[src]
-        passes.append(_Product(ix, axes.index(wire), _read_only(m)))
+        passes.append(_Product(ix, axes.index(wire) + 1, _read_only(m)))
     return tuple(passes)
 
 
 def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register, owned: bool) -> np.ndarray:
     """Left-multiply the circuit's compiled passes, in order, into ``t``; return the result.
 
-    ``t`` has one axis per wire of ``reg``, optionally followed by a
-    column axis; it is modified only if ``owned``. The passes were
+    ``t`` is C-contiguous with one axis per wire of ``reg``, optionally
+    followed by a column axis; it is modified only if ``owned``, and the
+    result never shares memory with a ``t`` that is not. The passes were
     compiled once per circuit (``Circuit._passes``); here they are only
-    executed. They see ``t`` with its axes reordered so that the
-    circuit's wires lead, in circuit order. A pass with fixed levels acts
-    on that slice only, written in place.
+    executed. When the circuit's wires are one in-order block of ``reg``,
+    the passes act on ``t`` in place of that block, with every other wire
+    folded into the lead and trail axes; otherwise they act on a copy of
+    ``t`` transposed so that the circuit's wires lead. Each pass writes
+    into a second buffer, and the two then swap roles, so a circuit
+    allocates at most one buffer besides an unowned ``t``. A pass with
+    fixed levels acts on that slice only, written in place.
     """
-    axes = list(circuit.register.wires)
-    axes += [w for w in reg.wires if w not in axes]
-    perm = list(reg.positions(axes)) + list(range(reg.num_wires, t.ndim))
-    if perm != sorted(perm):
+    d, k = reg.d, circuit.register.num_wires
+    pos = reg.positions(circuit.register.wires)
+    perm = None
+    if pos != tuple(range(pos[0], pos[0] + k)):
+        perm = [*pos, *(i for i in range(t.ndim) if i not in pos)]
         t, owned = np.ascontiguousarray(t.transpose(perm)), True
+    x = t.reshape(d ** (0 if perm else pos[0]), *[d] * k, -1)
+    spare = None
     for p in circuit._passes:
-        if not p.fixed:
-            t, owned = p.apply(t), True
+        if p.fixed:
+            if not owned:
+                x, owned = x.copy(), True
+            sub = x[p.fixed]  # a view
+            y = np.empty(sub.shape, dtype=x.dtype)
+            p.apply(sub, y)
+            sub[...] = y
             continue
-        if not owned:
-            t, owned = t.copy(), True
-        sub = t[p.fixed]  # a view
-        sub[...] = p.apply(sub)
-    return t.transpose(np.argsort(perm))
+        out = np.empty_like(x) if spare is None else spare
+        p.apply(x, out)
+        x, spare, owned = out, x if owned else None, True
+    if not owned:
+        x = x.copy()
+    x = x.reshape(t.shape)
+    return x if perm is None else x.transpose(np.argsort(perm))
 
 
 def circuit_to_unitary(circuit: Circuit) -> np.ndarray:
@@ -393,9 +418,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"circuit dimension {circuit.register.d} does not match the state's {reg.d}"
         )
     reg.positions(circuit.register.wires)  # raises on a wire the state lacks
-    t = state.tensor()
-    out = _apply_ops(t, circuit, reg, owned=False)
-    return StateVector(reg, out.copy() if out is t else out)
+    return StateVector(reg, _apply_ops(state.tensor(), circuit, reg, owned=False))
 
 
 def q_entries(d: int) -> np.ndarray:

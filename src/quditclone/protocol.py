@@ -1,8 +1,10 @@
 """Encryption/decryption unitaries and the end-to-end cloning protocol.
 
-The register layout is canonical throughout: [A, S_1..S_n, N_1..N_n].
-Encryption acts on (A, S_1..S_n); decryption acts on the target share
-and all locally kept wires (S_t, N_t, N_j for j != t).
+The canonical register layout is [A, S_1..S_n, N_1..N_n]
+(``protocol_register``): the dense oracles, the tests and every public
+function that takes wire positions use it. Encryption acts on
+(A, S_1..S_n); decryption acts on the target share and all locally kept
+wires (S_t, N_t, N_j for j != t).
 
 ``run_protocol`` executes only gate circuits of ``circuits``, on the
 state vector. It encrypts with ``build_enc_factored``, three passes over
@@ -16,15 +18,21 @@ formulas (``u_enc``, ``v_of_p``, ``u_dec_dense``, ``dec_projector_sum``)
 are oracles only: the tests and ``verify_identities`` use them, no run
 does.
 
-The score also reads the state where it lies. ``share_marginals`` takes
-each share's marginal as a batched dot product over a view of the state,
-and ``decryption_scores`` applies the Bell bra to a pair as a sum of its
+A run orders its wires [A, S_j (j != t).., S_t, N_t, N_j (j != t)..]
+(``_run_register``), so that encryption's wires lead and decryption's
+trail, each in its circuit's order, and both circuits act on the state
+without a transposed copy. It writes the initial state directly
+(``product_state`` is its oracle in the tests). The score also reads the
+state where it lies. ``share_marginals`` takes each share's marginal as
+a batched dot product over a view of the state, and
+``decryption_scores`` applies the Bell bra to a pair as a sum of its
 diagonal, so a run makes no transposed copy of the state per share and
-builds no second product state (``product_state`` only prepares the
-initial one). ``linalg.reduced_density`` and ``overlap`` are the
-independent oracles that the tests compare these scores against.
+builds no second product state. ``linalg.reduced_density`` and
+``overlap`` are the independent oracles that the tests compare these
+scores against.
 """
 
+import dataclasses
 import functools
 import time
 from dataclasses import dataclass, field
@@ -44,7 +52,6 @@ from .linalg import (
     kron_all,
     max_abs_diff,
     partial_trace,
-    product_state,
     DensityMatrix,
 )
 
@@ -54,10 +61,11 @@ class ProtocolParams:
     """Dimension d, party count n and the share receiving the state.
 
     Admits a (d, n) whose d^(2n+1)-amplitude state fits the state cap (at
-    n = 1, d <= 161). Besides the state and each pass's output, a run forms
-    no object larger than one pass's gather table, d^k entries for the k
-    wires the pass touches: at most d^(n+1), 25,921 at (161, 1). Dense
-    oracles cap their own size.
+    n = 1, d <= 161). Besides the state and one spare buffer of its size
+    (and, on a state of at most 4096 amplitudes, a product's transposed
+    copies), a run forms no object larger than one pass's gather table,
+    d^k entries for the k wires the pass touches: at most d^(n+1), 25,921
+    at (161, 1). Dense oracles cap their own size.
     """
 
     d: int
@@ -329,6 +337,44 @@ def decryption_scores(
     return float(abs(np.vdot(psi.amplitudes, y))), residuals
 
 
+def _run_register(d: int, n: int, t: int) -> Register:
+    """A run's wire order: [A, S_j (j != t).., S_t, N_t, N_j (j != t)..].
+
+    Encryption's wires (A and the shares) are the leading n + 1 axes, and
+    decryption's (S_t, N_t, N_j for j != t) the trailing n + 1, in the
+    order of ``build_udec_factored``'s register.
+    """
+    others = [j for j in range(1, n + 1) if j != t]
+    wires = ["A", *(f"S{j}" for j in others), f"S{t}", f"N{t}", *(f"N{j}" for j in others)]
+    return Register(d, tuple(wires))
+
+
+def _prepare(d: int, n: int, psi: np.ndarray) -> np.ndarray:
+    """psi on A and a Bell pair on every (S_j, N_j), as a tensor on ``_run_register``.
+
+    The amplitude is psi_a / sqrt(d^n) where every N_j's digit equals
+    S_j's, and 0 elsewhere. In the run's order the N block's digits are
+    the S block's rotated by one place, (s_t, s_j..) against (s_j.., s_t),
+    so the d^(n+1) nonzero entries are written into a zero tensor
+    directly. Equals ``product_state`` of the same factors.
+    """
+    x = np.zeros((d, d ** n, d ** n), dtype=complex)
+    s = np.arange(d ** n)
+    x[:, s, (s % d) * d ** (n - 1) + s // d] = psi[:, None] / np.sqrt(d ** n)
+    return x.reshape([d] * (2 * n + 1))
+
+
+def _renamed(circuit: circuits.Circuit, wires) -> circuits.Circuit:
+    """``circuit`` with its register's wires renamed, in order, to ``wires``."""
+    name = dict(zip(circuit.register.wires, wires))
+    ops = tuple(
+        dataclasses.replace(op, targets=tuple(name[w] for w in op.targets),
+                            controls=tuple(name[w] for w in op.controls))
+        for op in circuit.ops
+    )
+    return circuits.Circuit(Register(circuit.register.d, tuple(wires)), ops)
+
+
 # Keys (d, n, t, path) whose circuits a process keeps, compiled passes and
 # all. A key's tables (six gathers of at most d^(n+1) entries, four d x d
 # matrices) take at most 208 * d^(n+1) bytes, 5.4 MB at (161, 1).
@@ -339,11 +385,15 @@ _RUN_CIRCUIT_CACHE = 16
 def _run_circuits(d: int, n: int, t: int, literal: bool) -> tuple[circuits.Circuit, ...]:
     """The encryption and decryption circuits of a run, built once per key.
 
-    Circuits are immutable and their compiled tables read-only, so every
-    run at one key shares them.
+    Encryption is ``build_enc_factored`` renamed onto the run register's
+    leading wires: S_i becomes its i-th share wire. That is the same
+    operator, since X and Z on every wire, and so V(P_X) V(P_Z), do not
+    change when the wires are permuted. Circuits are immutable and their
+    compiled tables read-only, so every run at one key shares them.
     """
     udec = circuits.build_udec_circuit if literal else circuits.build_udec_factored
-    return circuits.build_enc_factored(d, n), udec(ProtocolParams(d, n, t))
+    enc = _renamed(circuits.build_enc_factored(d, n), _run_register(d, n, t).wires[:n + 1])
+    return enc, udec(ProtocolParams(d, n, t))
 
 
 def run_protocol(
@@ -362,7 +412,10 @@ def run_protocol(
     up to a global phase. No dense operator is built: encryption and
     decryption run gate circuits on the state, decryption the factored
     circuit, or the paper-literal one when ``decrypt_with_circuit`` is
-    set. Both scores contract the state in place (``share_marginals``,
+    set. The state lives on ``_run_register``, where both circuits act in
+    place: the run owns one tensor from prepare to score, and each circuit
+    passes it back and forth with one spare buffer, dropped before the
+    score. Both scores contract the state in place (``share_marginals``,
     ``decryption_scores``): no reduced-density copy of the state, no pair
     density matrix and no second product state is formed. The circuits
     are built and compiled on the first run at a (d, n, target, path) and
@@ -374,32 +427,32 @@ def run_protocol(
     if psi.register.num_wires != 1 or psi.register.d != d:
         raise ValueError("psi must be a single-wire state of dimension d")
 
-    reg = protocol_register(d, n)
-    bell = gates.bell_amplitudes(d)
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
     enc, udec = _run_circuits(d, n, t, bool(decrypt_with_circuit))
-    parts = [(("A",), psi.amplitudes)]
-    parts += [((f"S{i}", f"N{i}"), bell) for i in range(1, n + 1)]
-    state = product_state(reg, parts)
+    reg = _run_register(d, n, t)
+    x = _prepare(d, n, psi.amplitudes)
     t1 = time.perf_counter()
     timings["prepare"] = (t1 - t0) * 1e3
 
-    state = circuits.apply_circuit(state, enc)
+    x = circuits._apply_ops(x, enc, reg, owned=True)
+    encrypted = StateVector(reg, x)
     t2 = time.perf_counter()
     timings["encrypt"] = (t2 - t1) * 1e3
 
     mixed = np.eye(d) / d
-    marginals = [max_abs_diff(rho, mixed) for rho in share_marginals(state, n)]
+    marginals = [max_abs_diff(rho, mixed) for rho in share_marginals(encrypted, n)]
     t3 = time.perf_counter()
     timings["marginals"] = (t3 - t2) * 1e3
 
-    state = circuits.apply_circuit(state, udec)
+    # x stays the run's own buffer: decryption may overwrite ``encrypted``
+    x = circuits._apply_ops(x, udec, reg, owned=True)
+    decrypted = StateVector(reg, x)
     t4 = time.perf_counter()
     timings["decrypt"] = (t4 - t3) * 1e3
 
-    fidelity, residuals = decryption_scores(state, psi, params)
+    fidelity, residuals = decryption_scores(decrypted, psi, params)
     t5 = time.perf_counter()
     timings["verify"] = (t5 - t4) * 1e3
 

@@ -42,7 +42,7 @@ from quditclone import (
 )
 from quditclone import circuits, protocol
 from quditclone.cazac import chu
-from quditclone.circuits import _runs, _tbar_dag_ops, _tbar_ops
+from quditclone.circuits import _apply_ops, _runs, _tbar_dag_ops, _tbar_ops
 from quditclone.gates import bell_basis
 
 TOL = 1e-10
@@ -559,3 +559,40 @@ def test_gate_counts_validation():
         gate_counts(1, 2)
     with pytest.raises(ValueError):
         gate_counts(3, 0)
+
+
+def test_circuit_on_an_in_order_block_matches_embedded_unitary():
+    # a circuit whose wires are one in-order block of the state's register
+    # runs in place of that block; gathers with and without phases, a
+    # level-controlled gate and a Fourier stretch, at offsets 0, 1 and 3
+    rng = np.random.default_rng(59)
+    d = 3
+    reg = Register(d, tuple(f"w{i}" for i in range(6)))
+    for offset in (0, 1, 3):
+        a, b, c = reg.wires[offset:offset + 3]
+        circ = Circuit(Register(d, (a, b, c)), (
+            GateOp(kind="cpow", base="x", power=1, controls=(a,), targets=(b,)),
+            GateOp(kind="fourier", targets=(c,)),
+            GateOp(kind="zpow", power=2, targets=(c,)),
+            GateOp(kind="swap", targets=(a, c)),
+            GateOp(kind="fourier_dag", targets=(b,), controls=(a,), control_levels=(2,)),
+            GateOp(kind="cpow", base="z", power=1, controls=(c,), targets=(a,)),
+        ))
+        state = StateVector(reg, random_unit_vector(rng, reg.dim))
+        before = state.amplitudes.copy()
+        got = apply_circuit(state, circ)
+        want = embed_apply(state, circuit_to_unitary(circ), (a, b, c))
+        assert max_abs_diff(got.amplitudes, want.amplitudes) < 1e-12, offset
+        assert np.array_equal(state.amplitudes, before)
+        # owned, the tensor itself may serve as one of the two buffers
+        t = state.tensor().copy()
+        out = _apply_ops(t, circ, reg, owned=True)
+        assert max_abs_diff(out.reshape(-1), want.amplitudes) < 1e-12, offset
+
+
+def test_apply_circuit_without_passes_returns_a_copy():
+    reg = Register(2, ("a", "b"))
+    state = StateVector(reg, random_unit_vector(np.random.default_rng(61), reg.dim))
+    out = apply_circuit(state, Circuit(reg, ()))
+    assert np.array_equal(out.amplitudes, state.amplitudes)
+    assert not np.shares_memory(out.amplitudes, state.amplitudes)

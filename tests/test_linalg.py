@@ -242,6 +242,40 @@ def test_state_vector_validation():
         StateVector(Register(2, tuple(f"w{i}" for i in range(23))), np.zeros(2))
 
 
+def test_state_vector_refuses_non_finite_and_overflowing_entries():
+    # one squared-norm pass; non-finite entries are still named as such
+    reg = Register(2, ("a",))
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, 1.0], [1.0, complex(0, np.nan)]):
+        with pytest.raises(ValueError, match="^state vector contains non-finite entries$"):
+            StateVector(reg, np.array(bad))
+    with pytest.raises(ValueError, match="^state vector norm inf is not 1$"):
+        StateVector(reg, np.array([1e160, 1e160]))
+    with pytest.raises(ValueError, match=r"^state vector norm 1\.4142135623730951 is not 1$"):
+        StateVector(reg, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="^state vector norm 0.5 is not 1$"):
+        StateVector(reg, np.array([0.5, 0.0]))
+    StateVector(reg, np.array([1.0, 1e-9]))  # within the 1e-8 rule
+
+
+def test_single_axis_products_agree_with_einsum():
+    # batched and transposed products, with and without out; the axis last
+    # takes the transposed product at any size
+    from quditclone.linalg import _apply_on_axes
+
+    rng = np.random.default_rng(67)
+    for shape, p in (((2, 3, 4), 1), ((36, 6, 36), 1), ((3, 9, 3), 1), ((25, 5), 1),
+                     ((2, 2, 64), 1), ((4, 3, 5), 0), ((1296, 6, 6), 1),
+                     ((1024, 5), 1)):
+        t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        m = random_matrix(rng, shape[p])
+        want = np.moveaxis(np.tensordot(m, t, axes=([1], [p])), 0, p)
+        assert max_abs_diff(_apply_on_axes(t, m, [p]), want) < 1e-12, shape
+        out = np.empty_like(t)
+        got = _apply_on_axes(t, m, [p], out=out)
+        assert np.shares_memory(got, out), shape
+        assert max_abs_diff(out, want) < 1e-12, shape
+
+
 def test_qudit_dimension_cap():
     # a d x d gate or grid is operator-sized: refused before allocating
     Register(4096, ("a",))

@@ -12,6 +12,7 @@ from quditclone import (
     apply_circuit,
     build_udec_factored,
     c_gate,
+    circuit_to_unitary,
     dec_projector_sum,
     embed_apply,
     exp_generalization,
@@ -577,3 +578,71 @@ def test_verify_builds_each_oracle_once(monkeypatch):
         monkeypatch.setattr(protocol, name, counted(name))
     assert verify_identities(3).passed
     assert calls == {"v_of_p": 2, "dec_projector_sum": 1}
+
+
+def test_u_enc_is_invariant_under_wire_permutations():
+    # a run encrypts on its own share order, which is the same operator
+    import itertools
+
+    for d, n in ((2, 3), (3, 2), (4, 2)):
+        k = n + 1
+        u = u_enc(ProtocolParams(d, n)).reshape([d] * (2 * k))
+        for perm in itertools.permutations(range(k)):
+            permuted = u.transpose([*perm, *(k + p for p in perm)])
+            assert max_abs_diff(permuted, u) < 1e-12, (d, n, perm)
+
+
+def test_run_prepares_the_product_state_on_its_register():
+    from quditclone import product_state
+    from quditclone.protocol import _prepare, _run_register
+
+    rng = np.random.default_rng(53)
+    for n in range(1, 5):
+        for d in (2, 3):
+            psi = random_unit_vector(rng, d)
+            for t in range(1, n + 1):
+                reg = _run_register(d, n, t)
+                assert sorted(reg.wires) == sorted(protocol_register(d, n).wires)
+                want = product_state(
+                    reg,
+                    [(("A",), psi)]
+                    + [((f"S{i}", f"N{i}"), bell_amplitudes(d)) for i in range(1, n + 1)],
+                )
+                got = _prepare(d, n, psi)
+                assert got.shape == (d,) * (2 * n + 1)
+                assert max_abs_diff(got.reshape(-1), want.amplitudes) < 1e-15, (d, n, t)
+
+
+def test_run_circuits_act_in_place_on_the_run_register():
+    # encryption's wires lead the run register and decryption's trail it
+    # (S_t is the last of the one and the first of the other),
+    # each in circuit order, so neither circuit needs a transposed copy
+    from quditclone.protocol import _run_circuits, _run_register
+
+    for n in (1, 2, 3):
+        for t in range(1, n + 1):
+            reg = _run_register(3, n, t)
+            enc, udec = _run_circuits(3, n, t, False)
+            assert reg.positions(enc.register.wires) == tuple(range(n + 1))
+            assert reg.positions(udec.register.wires) == tuple(range(n, 2 * n + 1))
+            # the renamed encryption is u_enc on its wires
+            assert max_abs_diff(circuit_to_unitary(enc), u_enc(ProtocolParams(3, n))) < 1e-12
+
+
+def test_run_protocol_peak_memory_is_about_two_states():
+    # the run owns its tensor and one spare; nothing else is state-sized
+    import tracemalloc
+
+    for d, n in ((4, 4), (6, 3)):
+        params = ProtocolParams(d, n, target_party=n)
+        state_bytes = 16 * d ** (2 * n + 1)
+        for decrypt_with_circuit in (False, True):
+            run_protocol(params, seed=3, decrypt_with_circuit=decrypt_with_circuit)
+            tracemalloc.start()
+            try:
+                report = run_protocol(params, seed=3, decrypt_with_circuit=decrypt_with_circuit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.passed
+            assert peak <= 2.5 * state_bytes, (d, n, decrypt_with_circuit, peak / state_bytes)
