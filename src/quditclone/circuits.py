@@ -6,20 +6,20 @@ diagonal phase list, controlled power, swap, or a bare scalar phase)
 plus optional control wires, each with the level on which the base
 gate fires (a controlled power instead fires base^j on every control
 level j); that is how the level-controlled gates of the decryption
-circuit are expressed. ``apply_circuit`` runs a circuit on a state
-vector, which is how the protocol executes; ``circuit_to_unitary``
-expands one into a dense matrix for comparison with the paper's
-operator formulas. Both evaluate the same way: every gate kind except
-the two Fourier gates is monomial (a permutation of basis states times
-phases), so each maximal run of such gates is compiled into one gather
-over the wires it touches plus one phase multiply, and each maximal
-stretch of uncontrolled gates on one wire that holds a Fourier gate is
-one matrix product on that wire. A circuit is compiled into these
-passes on its first evaluation and keeps them, read-only, so evaluating
-it again only executes them. A pass's gather table has d^k entries for
-the k wires it touches, so it is bounded by the circuit's own wires: at
-most d^(n+1) for the protocol circuits, far below the
-d^(2n+1)-amplitude state they run on.
+circuit are expressed; the Fourier gates take no controls.
+``apply_circuit`` runs a circuit on a state vector, which is how the
+protocol executes; ``circuit_to_unitary`` expands one into a dense
+matrix for comparison with the paper's operator formulas. Both evaluate
+the same way, in two pass shapes over the whole tensor: every gate kind
+except the two Fourier gates is monomial (a permutation of basis states
+times phases), so each maximal run of such gates is one gather and one
+phase multiply over its span, the wires from the first it touches to the
+last; each maximal stretch of uncontrolled gates on one wire that holds
+a Fourier gate is one d x d product on that wire. A circuit is compiled
+into these passes on its first evaluation and keeps them, read-only, so
+evaluating it again only executes them. A gather table has d^k entries
+for the k wires of its span, at most d^(n+1) for the protocol circuits,
+far below the d^(2n+1)-amplitude state they run on.
 
 Encryption has two forms of the same operator V(P_X) V(P_Z): the
 paper-literal ``build_vpz_circuit`` and ``build_vpx_circuit``, whose
@@ -36,7 +36,6 @@ literal one under ``--circuit``; ``circuit-dump udec`` prints the literal
 one.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,8 +58,8 @@ if TYPE_CHECKING:  # annotations only: protocol imports this module
 KINDS = (
     "xpow",         # shift power X^power
     "zpow",         # phase power Z^power
-    "fourier",
-    "fourier_dag",
+    "fourier",      # Fourier F; takes no controls
+    "fourier_dag",  # F^dag; takes no controls
     "diag",         # diagonal phase gate, entries exp(i*phases[k])
     "cpow",         # controlled power: |j>|k> -> |j> base^j |k>
     "swap",
@@ -71,6 +70,10 @@ _TARGET_COUNT = {
     "xpow": 1, "zpow": 1, "fourier": 1, "fourier_dag": 1,
     "diag": 1, "cpow": 1, "swap": 2, "scalar": 0,
 }
+
+# Every kind but these two is monomial, a permutation of basis states times
+# phases, so a run of them composes into one gather.
+_DENSE_KINDS = frozenset(("fourier", "fourier_dag"))
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,8 @@ class GateOp:
                 f"{self.kind} takes {_TARGET_COUNT[self.kind]} target(s), "
                 f"got {self.targets}"
             )
+        if self.kind in _DENSE_KINDS and self.controls:
+            raise ValueError(f"{self.kind} takes no controls")
         if self.kind == "cpow":
             if len(self.controls) != 1 or self.control_levels:
                 raise ValueError("cpow takes exactly one control and no levels")
@@ -151,18 +156,10 @@ class Circuit:
             if op.kind == "diag" and len(op.phases) != d:
                 raise ValueError(f"diag gate needs {d} phases, got {len(op.phases)}")
 
-    def to_ops_json(self) -> str:
-        return json.dumps([op.to_dict() for op in self.ops], indent=2, sort_keys=True)
-
     @cached_property
     def _passes(self) -> tuple:
         """The compiled passes (``_compile``), made on the first evaluation and kept."""
         return _compile(self)
-
-
-# Every kind but these two is monomial, a permutation of basis states times
-# phases, so a run of them composes into one gather.
-_DENSE_KINDS = frozenset(("fourier", "fourier_dag"))
 
 
 def _bare_wire(op: GateOp) -> str | None:
@@ -170,39 +167,32 @@ def _bare_wire(op: GateOp) -> str | None:
     return op.targets[0] if len(op.targets) == 1 and not op.controls else None
 
 
-def _runs(ops) -> list[tuple[dict, list[GateOp]]]:
+def _runs(ops) -> list[list[GateOp]]:
     """Split ``ops`` into passes: maximal monomial runs and one-wire stretches.
 
     A run is either all monomial or confined to one bare wire: a maximal
     stretch of uncontrolled gates on one wire that holds a Fourier gate
     is one pass, its d x d product, and never takes in a gate on another
-    wire or with a control. Each pass is (fixed, gates): ``fixed`` maps
-    the control wires that every gate of a monomial run holds at the same
-    level to that level, so that the run acts on that slice only. A
-    monomial run's gather table has d^k entries for the k wires it
-    touches outside ``fixed``: never more than the circuit's own wires
-    hold, d^(n+1) for the protocol circuits.
+    wire or with a control.
     """
-    runs: list[list] = []  # [fixed (wire, level) pairs, gates]
+    runs: list[list[GateOp]] = []
     bare = None  # the last run's wire while every gate of it is bare on that wire
     dense = False  # whether the last run holds a Fourier gate
     for op in ops:
-        levels = set(zip(op.controls, op.control_levels))
         if runs and (dense or op.kind in _DENSE_KINDS):
             if bare is not None and _bare_wire(op) == bare:
-                runs[-1][1].append(op)
+                runs[-1].append(op)
                 dense = True
                 continue
         elif runs:
-            runs[-1][0] &= levels
-            runs[-1][1].append(op)
+            runs[-1].append(op)
             if _bare_wire(op) != bare:
                 bare = None
             continue
-        runs.append([levels, [op]])
+        runs.append([op])
         bare = _bare_wire(op)
         dense = op.kind in _DENSE_KINDS
-    return [(dict(fixed), run) for fixed, run in runs]
+    return runs
 
 
 def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
@@ -226,8 +216,7 @@ def _compile_run(ops, wires, d: int) -> tuple[np.ndarray, np.ndarray]:
     for op in ops:
         ix: list = [slice(None)] * k
         for w, lv in zip(op.controls, op.control_levels):
-            if w in axis:  # else the wire is fixed at lv in the slice the run sees
-                ix[axis[w]] = lv
+            ix[axis[w]] = lv
         # views (the Ellipsis keeps a fully indexed slice 0-d), so updates
         # land in src and g; the level-indexed axes drop out of the slice,
         # which shifts the target axes down
@@ -260,45 +249,30 @@ def _compile_run(ops, wires, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Gather(NamedTuple):
-    """A compiled monomial run: out[y] = g[y] * x[src[y]] over the joint index of ``positions``.
+    """A compiled monomial run: out[y] = g[y] * x[src[y]] over the joint index of its span.
 
-    ``positions`` are sorted; ``fixed`` indexes the slice the run acts on,
-    ``()`` for the whole tensor. ``g`` is None when every phase is 1.
+    The span is the k axes from ``position`` on; side by side, their joint
+    index is one axis of a reshape, with len(src) = d^k entries.
+    ``g`` is None when every phase is 1.
     """
 
-    fixed: tuple
-    positions: tuple[int, ...]
+    position: int
     src: np.ndarray
     g: np.ndarray | None
 
     def apply(self, x: np.ndarray, out: np.ndarray) -> None:
         """Write the run applied to ``x`` into ``out``, a C-contiguous array of its shape."""
-        positions, src, g = self.positions, self.src, self.g
-        k, p0 = len(positions), positions[0] if positions else 0
-        # the run's axes side by side (already so for the protocol circuits),
-        # so that their joint index is one axis of a reshape
-        side = range(p0, p0 + k)
-        apart = k > 0 and positions[-1] - p0 != k - 1
-        if apart:
-            x = np.moveaxis(x, positions, side)
-        shape = (math.prod(x.shape[:p0]), len(src), -1)
+        shape = (math.prod(x.shape[:self.position]), len(self.src), -1)
         # in range by construction, so "clip" never clips; unlike "raise"
         # it writes straight into ``out``
-        y = np.take(x.reshape(shape), src, axis=1, mode="clip",
-                    out=None if apart else out.reshape(shape))
-        if g is not None:
-            y *= g[:, None]
-        if apart:
-            np.moveaxis(out, positions, side)[...] = y.reshape(x.shape)
+        y = np.take(x.reshape(shape), self.src, axis=1, mode="clip", out=out.reshape(shape))
+        if self.g is not None:
+            y *= self.g[:, None]
 
 
 class _Product(NamedTuple):
-    """A compiled one-wire stretch: one product with its d x d matrix ``m``.
+    """A compiled one-wire stretch: one product with its d x d matrix ``m``."""
 
-    ``fixed`` is as in ``_Gather``.
-    """
-
-    fixed: tuple
     position: int
     m: np.ndarray
 
@@ -317,27 +291,24 @@ def _compile(circuit: Circuit) -> tuple:
 
     The d axes are the circuit's wires, in circuit order; the lead and
     trail axes hold every other wire of the register, and a column axis
-    if any. A monomial run becomes its gather table over the wires it
-    touches; a run with fixed levels is indexed to their slice, whose
-    axes leave the fixed wires out, so their controls are already met.
-    A one-wire stretch with a Fourier gate is composed into its d x d
-    matrix, each monomial gate of it as a row gather of the product so
-    far. Positions count the lead axis and the circuit's wires only, so
-    the passes fit any register that holds them. Every table is
-    read-only.
+    if any. A monomial run becomes its gather table over its span, the
+    circuit's wires from the first its gates touch to the last (none for
+    a run of bare scalars). A one-wire stretch with a Fourier gate is
+    composed into its d x d matrix, each monomial gate of it as a row
+    gather of the product so far. Positions count the lead axis and the
+    circuit's wires only, so the passes fit any register that holds
+    them. Every table is read-only.
     """
     d, wires = circuit.register.d, circuit.register.wires
     passes: list = []
-    for fixed, run in _runs(circuit.ops):
-        ix = (slice(None), *(fixed.get(w, slice(None)) for w in wires), ...) if fixed else ()
-        axes = [w for w in wires if w not in fixed]
+    for run in _runs(circuit.ops):
         if not any(op.kind in _DENSE_KINDS for op in run):
             touched = {w for op in run for w in op.wires}
-            on = [w for w in axes if w in touched]
-            src, g = _compile_run(run, on, d)
-            positions = tuple(axes.index(w) + 1 for w in on)
+            span = [i for i, w in enumerate(wires) if w in touched]
+            lo, hi = min(span, default=0), max(span, default=-1)
+            src, g = _compile_run(run, wires[lo:hi + 1], d)
             g = None if (g == 1).all() else _read_only(g)
-            passes.append(_Gather(ix, positions, _read_only(src), g))
+            passes.append(_Gather(lo + 1, _read_only(src), g))
             continue
         (wire,) = run[0].targets
         f = gates.fourier(d)
@@ -350,47 +321,36 @@ def _compile(circuit: Circuit) -> tuple:
             else:
                 src, g = _compile_run([op], [wire], d)
                 m = g[:, None] * m[src]
-        passes.append(_Product(ix, axes.index(wire) + 1, _read_only(m)))
+        passes.append(_Product(wires.index(wire) + 1, _read_only(m)))
     return tuple(passes)
 
 
-def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register, owned: bool) -> np.ndarray:
+def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register) -> np.ndarray:
     """Left-multiply the circuit's compiled passes, in order, into ``t``; return the result.
 
     ``t`` is C-contiguous with one axis per wire of ``reg``, optionally
-    followed by a column axis; it is modified only if ``owned``, and the
-    result never shares memory with a ``t`` that is not. The passes were
-    compiled once per circuit (``Circuit._passes``); here they are only
-    executed. When the circuit's wires are one in-order block of ``reg``,
-    the passes act on ``t`` in place of that block, with every other wire
-    folded into the lead and trail axes; otherwise they act on a copy of
-    ``t`` transposed so that the circuit's wires lead. Each pass writes
-    into a second buffer, and the two then swap roles, so a circuit
-    allocates at most one buffer besides an unowned ``t``. A pass with
-    fixed levels acts on that slice only, written in place.
+    followed by a column axis, and is the caller's to overwrite. The
+    passes were compiled once per circuit (``Circuit._passes``); here
+    they are only executed. When the circuit's wires are one in-order
+    block of ``reg``, the passes act on ``t`` in place of that block,
+    with every other wire folded into the lead and trail axes; otherwise
+    they act on a copy of ``t`` transposed so that the circuit's wires
+    lead. Each pass writes the whole tensor into a second buffer, and the
+    two then swap roles, so a circuit allocates at most one buffer
+    besides ``t`` or its transposed copy.
     """
     d, k = reg.d, circuit.register.num_wires
     pos = reg.positions(circuit.register.wires)
     perm = None
     if pos != tuple(range(pos[0], pos[0] + k)):
         perm = [*pos, *(i for i in range(t.ndim) if i not in pos)]
-        t, owned = np.ascontiguousarray(t.transpose(perm)), True
+        t = np.ascontiguousarray(t.transpose(perm))
     x = t.reshape(d ** (0 if perm else pos[0]), *[d] * k, -1)
     spare = None
     for p in circuit._passes:
-        if p.fixed:
-            if not owned:
-                x, owned = x.copy(), True
-            sub = x[p.fixed]  # a view
-            y = np.empty(sub.shape, dtype=x.dtype)
-            p.apply(sub, y)
-            sub[...] = y
-            continue
         out = np.empty_like(x) if spare is None else spare
         p.apply(x, out)
-        x, spare, owned = out, x if owned else None, True
-    if not owned:
-        x = x.copy()
+        x, spare = out, x
     x = x.reshape(t.shape)
     return x if perm is None else x.transpose(np.argsort(perm))
 
@@ -401,7 +361,7 @@ def circuit_to_unitary(circuit: Circuit) -> np.ndarray:
     dim = reg.dim
     _check_operator_dim(dim, "circuit register")
     t = np.eye(dim, dtype=complex).reshape([reg.d] * reg.num_wires + [dim])
-    return _apply_ops(t, circuit, reg, owned=True).reshape(dim, dim)
+    return _apply_ops(t, circuit, reg).reshape(dim, dim)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -418,7 +378,7 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"circuit dimension {circuit.register.d} does not match the state's {reg.d}"
         )
     reg.positions(circuit.register.wires)  # raises on a wire the state lacks
-    return StateVector(reg, _apply_ops(state.tensor(), circuit, reg, owned=False))
+    return StateVector(reg, _apply_ops(state.tensor().copy(), circuit, reg))
 
 
 def q_entries(d: int) -> np.ndarray:

@@ -21,7 +21,9 @@ does.
 A run orders its wires [A, S_j (j != t).., S_t, N_t, N_j (j != t)..]
 (``_run_register``), so that encryption's wires lead and decryption's
 trail, each in its circuit's order, and both circuits act on the state
-without a transposed copy. It writes the initial state directly
+without a transposed copy. The tensor and every pass are then the same
+for every target t, so each target runs target n's circuits and reads
+the tensor under its own wire names. It writes the initial state directly
 (``product_state`` is its oracle in the tests). The score also reads the
 state where it lies. ``share_marginals`` takes each share's marginal as
 a batched dot product over a view of the state, and
@@ -32,7 +34,6 @@ builds no second product state. ``linalg.reduced_density`` and
 scores against.
 """
 
-import dataclasses
 import functools
 import time
 from dataclasses import dataclass, field
@@ -364,36 +365,23 @@ def _prepare(d: int, n: int, psi: np.ndarray) -> np.ndarray:
     return x.reshape([d] * (2 * n + 1))
 
 
-def _renamed(circuit: circuits.Circuit, wires) -> circuits.Circuit:
-    """``circuit`` with its register's wires renamed, in order, to ``wires``."""
-    name = dict(zip(circuit.register.wires, wires))
-    ops = tuple(
-        dataclasses.replace(op, targets=tuple(name[w] for w in op.targets),
-                            controls=tuple(name[w] for w in op.controls))
-        for op in circuit.ops
-    )
-    return circuits.Circuit(Register(circuit.register.d, tuple(wires)), ops)
-
-
-# Keys (d, n, t, path) whose circuits a process keeps, compiled passes and
+# Keys (d, n, path) whose circuits a process keeps, compiled passes and
 # all. A key's tables (six gathers of at most d^(n+1) entries, four d x d
 # matrices) take at most 208 * d^(n+1) bytes, 5.4 MB at (161, 1).
 _RUN_CIRCUIT_CACHE = 16
 
 
 @functools.lru_cache(maxsize=_RUN_CIRCUIT_CACHE)
-def _run_circuits(d: int, n: int, t: int, literal: bool) -> tuple[circuits.Circuit, ...]:
+def _run_circuits(d: int, n: int, literal: bool) -> tuple[circuits.Circuit, ...]:
     """The encryption and decryption circuits of a run, built once per key.
 
-    Encryption is ``build_enc_factored`` renamed onto the run register's
-    leading wires: S_i becomes its i-th share wire. That is the same
-    operator, since X and Z on every wire, and so V(P_X) V(P_Z), do not
-    change when the wires are permuted. Circuits are immutable and their
-    compiled tables read-only, so every run at one key shares them.
+    ``build_enc_factored`` and the decryption onto S_n, which act on the
+    leading and trailing n + 1 wires of ``_run_register(d, n, n)``.
+    Circuits are immutable and their compiled tables read-only, so every
+    run at one key shares them, whatever its target.
     """
     udec = circuits.build_udec_circuit if literal else circuits.build_udec_factored
-    enc = _renamed(circuits.build_enc_factored(d, n), _run_register(d, n, t).wires[:n + 1])
-    return enc, udec(ProtocolParams(d, n, t))
+    return circuits.build_enc_factored(d, n), udec(ProtocolParams(d, n, n))
 
 
 def run_protocol(
@@ -418,8 +406,9 @@ def run_protocol(
     score. Both scores contract the state in place (``share_marginals``,
     ``decryption_scores``): no reduced-density copy of the state, no pair
     density matrix and no second product state is formed. The circuits
-    are built and compiled on the first run at a (d, n, target, path) and
-    reused by later runs there (``_run_circuits``).
+    are target n's, built and compiled on the first run at a (d, n, path)
+    and reused at every target (``_run_circuits``); the run scores their
+    result under target t's wire names.
     """
     d, n, t = params.d, params.n, params.target_party
     if psi is None:
@@ -430,13 +419,14 @@ def run_protocol(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    enc, udec = _run_circuits(d, n, t, bool(decrypt_with_circuit))
+    enc, udec = _run_circuits(d, n, bool(decrypt_with_circuit))
+    on = _run_register(d, n, n)  # the circuits' wire names
     reg = _run_register(d, n, t)
     x = _prepare(d, n, psi.amplitudes)
     t1 = time.perf_counter()
     timings["prepare"] = (t1 - t0) * 1e3
 
-    x = circuits._apply_ops(x, enc, reg, owned=True)
+    x = circuits._apply_ops(x, enc, on)
     encrypted = StateVector(reg, x)
     t2 = time.perf_counter()
     timings["encrypt"] = (t2 - t1) * 1e3
@@ -447,7 +437,7 @@ def run_protocol(
     timings["marginals"] = (t3 - t2) * 1e3
 
     # x stays the run's own buffer: decryption may overwrite ``encrypted``
-    x = circuits._apply_ops(x, udec, reg, owned=True)
+    x = circuits._apply_ops(x, udec, on)
     decrypted = StateVector(reg, x)
     t4 = time.perf_counter()
     timings["decrypt"] = (t4 - t3) * 1e3

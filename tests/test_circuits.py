@@ -350,6 +350,37 @@ def test_enc_factored_tally_and_passes():
             assert len(_runs(circ.ops)) == 3, (d, n)
 
 
+def _pass_shapes(circ):
+    """Each compiled pass as ("gather", its table's entries) or ("product", d)."""
+    return [("gather", len(p.src)) if isinstance(p, circuits._Gather) else ("product", len(p.m))
+            for p in circ._passes]
+
+
+def test_protocol_circuits_compile_to_pinned_passes():
+    # every gather of a protocol circuit spans just the wires its gates
+    # touch, d^k table entries for k wires, so no table exceeds d^(n+1)
+    admitted = 0
+    for d in range(2, 7):
+        for n in range(1, 5):
+            try:
+                ProtocolParams(d, n)
+            except ValueError:  # over the state cap
+                continue
+            admitted += 1
+            full, pair, product = ("gather", d ** (n + 1)), ("gather", d * d), ("product", d)
+            assert _pass_shapes(build_vpz_circuit(d, n)) == [full]
+            assert _pass_shapes(build_vpx_circuit(d, n)) == (
+                [product] * (n + 1) + [full] + [product] * (n + 1))
+            assert _pass_shapes(build_enc_factored(d, n)) == [full, product, full]
+            for t in sorted({1, n}):
+                params = ProtocolParams(d, n, t)
+                assert _pass_shapes(build_udec_factored(params)) == [
+                    pair, product, full, product, pair]
+                assert _pass_shapes(build_udec_circuit(params)) == [
+                    pair, product, full, product, pair, product, pair]
+    assert admitted == 19
+
+
 def test_enc_factored_builds_its_q_gate_once(monkeypatch):
     # the q gate between F and F^dag on S_n is the vpz one, not a second build
     calls = []
@@ -372,7 +403,7 @@ def test_compiled_tables_are_read_only_and_reusable():
     params = ProtocolParams(3, 2, target_party=2)
     reg = protocol_register(3, 2)
     fresh = [build_enc_factored(3, 2), build_udec_factored(params), build_udec_circuit(params)]
-    cached = [*protocol._run_circuits(3, 2, 2, False), protocol._run_circuits(3, 2, 2, True)[1]]
+    cached = [*protocol._run_circuits(3, 2, False), protocol._run_circuits(3, 2, True)[1]]
     for circ, twin in zip(cached, fresh):
         assert circ == twin and circ is not twin
         states = [StateVector(reg, random_unit_vector(rng, reg.dim)) for _ in range(2)]
@@ -406,8 +437,7 @@ def test_one_wire_stretch_is_one_pass():
         GateOp(kind="xpow", power=2, targets=("a",)),
         GateOp(kind="fourier_dag", targets=("a",)),
     ]
-    passes = _runs(stretch)
-    assert len(passes) == 1 and passes[0] == ({}, stretch)
+    assert _runs(stretch) == [stretch]
     want = np.eye(d, dtype=complex)
     for m in (np.diag(np.exp(1j * np.array(stretch[0].phases))), fourier(d),
               x_power(d, 2), fourier(d).conj().T):
@@ -416,12 +446,10 @@ def test_one_wire_stretch_is_one_pass():
     assert max_abs_diff(got, np.kron(want, np.eye(d))) < 1e-14
     cx = GateOp(kind="cpow", base="x", power=1, controls=("a",), targets=("b",))
     for tail in (cx, GateOp(kind="zpow", power=1, targets=("b",))):
-        passes = _runs(stretch + [tail])
-        assert [run for _, run in passes] == [stretch, [tail]]
+        assert _runs(stretch + [tail]) == [stretch, [tail]]
     # nor does a stretch take in a gate on its wire that has a control
     cz = GateOp(kind="zpow", power=1, targets=("a",), controls=("b",), control_levels=(1,))
-    passes = _runs(stretch + [cz])
-    assert len(passes) == 2 and passes[0] == ({}, stretch) and passes[1][0] == {"b": 1}
+    assert _runs(stretch + [cz]) == [stretch, [cz]]
 
 
 def test_thirteen_wire_ladder_is_one_pass():
@@ -432,7 +460,7 @@ def test_thirteen_wire_ladder_is_one_pass():
                   targets=(wires[i + 1],)) for i in range(12)]
     ops.insert(6, GateOp(kind="diag", targets=("q6",), phases=(0.3, -1.1)))
     circ = Circuit(Register(d, wires), tuple(ops))
-    assert _runs(circ.ops) == [({}, ops)]
+    assert _runs(circ.ops) == [ops]
     rng = np.random.default_rng(41)
     state = StateVector(circ.register, random_unit_vector(rng, d ** 13))
     want = state
@@ -453,44 +481,14 @@ def test_apply_circuit_leaves_input_unmodified():
         assert not np.shares_memory(out.amplitudes, state.amplitudes)
 
 
-def _on_register(m, wires, reg):
-    """``m`` on ``wires`` (in that order) kron the identity elsewhere, in ``reg``'s wire order."""
-    d, k = reg.d, reg.num_wires
-    order = list(wires) + [w for w in reg.wires if w not in wires]
-    full = np.kron(m, np.eye(d ** (k - len(wires))))
-    perm = [order.index(w) for w in reg.wires]
-    return full.reshape([d] * (2 * k)).transpose(perm + [k + p for p in perm]).reshape(
-        reg.dim, reg.dim)
-
-
-def test_level_controlled_fourier_gates_match_dense():
-    # F on a when b = 1, then F^dag on c when (a, b) = (2, 0): each is
-    # P x F + (I - P) x I for the projector P onto its control levels
-    d = 3
-    f, eye = fourier(d), np.eye(d)
-    reg = Register(d, ("a", "b", "c"))
-    circ = Circuit(reg, (
-        GateOp(kind="fourier", targets=("a",), controls=("b",), control_levels=(1,)),
-        GateOp(kind="fourier_dag", targets=("c",), controls=("a", "b"),
-               control_levels=(2, 0)),
-    ))
-    p1 = np.diag(eye[1])
-    p20 = np.kron(np.diag(eye[2]), np.diag(eye[0]))
-    m1 = np.kron(p1, f) + np.kron(eye - p1, eye)
-    m2 = np.kron(p20, f.conj().T) + np.kron(np.eye(d * d) - p20, eye)
-
-    def dense(r):  # the two gates, in order, on register r
-        return _on_register(m2, ("a", "b", "c"), r) @ _on_register(m1, ("b", "a"), r)
-
-    assert max_abs_diff(circuit_to_unitary(circ), dense(reg)) < 1e-14
-    # on a state whose wires come in another order
-    state_reg = Register(d, ("c", "a", "b"))
-    state = StateVector(state_reg, random_unit_vector(np.random.default_rng(43), state_reg.dim))
-    before = state.amplitudes.copy()
-    got = apply_circuit(state, circ)
-    assert max_abs_diff(got.amplitudes, dense(state_reg) @ before) < 1e-14
-    assert np.array_equal(state.amplitudes, before)
-    assert not np.shares_memory(got.amplitudes, state.amplitudes)
+def test_gateop_refuses_controls_on_fourier_gates():
+    # no protocol circuit controls a Fourier gate, so the evaluator never
+    # needs a level slice of the state
+    for kind in ("fourier", "fourier_dag"):
+        for controls, levels in ((("b",), (1,)), (("b", "c"), (2, 0))):
+            with pytest.raises(ValueError, match=f"{kind} takes no controls"):
+                GateOp(kind=kind, targets=("a",), controls=controls, control_levels=levels)
+        assert GateOp(kind=kind, targets=("a",)).controls == ()
 
 
 def test_apply_circuit_rejects_foreign_register():
@@ -513,7 +511,7 @@ def test_udec_circuit_has_expected_block_count():
 
 def test_circuit_serialization_round_trip_fields():
     circ = build_udec_circuit(ProtocolParams(2, 2))
-    data = json.loads(circ.to_ops_json())
+    data = json.loads(json.dumps([op.to_dict() for op in circ.ops]))
     assert isinstance(data, list) and len(data) == len(circ.ops)
     for entry in data:
         assert set(entry) == {"kind", "params", "targets", "controls", "control_levels"}
@@ -564,7 +562,7 @@ def test_gate_counts_validation():
 def test_circuit_on_an_in_order_block_matches_embedded_unitary():
     # a circuit whose wires are one in-order block of the state's register
     # runs in place of that block; gathers with and without phases, a
-    # level-controlled gate and a Fourier stretch, at offsets 0, 1 and 3
+    # level-controlled gate and Fourier stretches, at offsets 0, 1 and 3
     rng = np.random.default_rng(59)
     d = 3
     reg = Register(d, tuple(f"w{i}" for i in range(6)))
@@ -575,7 +573,8 @@ def test_circuit_on_an_in_order_block_matches_embedded_unitary():
             GateOp(kind="fourier", targets=(c,)),
             GateOp(kind="zpow", power=2, targets=(c,)),
             GateOp(kind="swap", targets=(a, c)),
-            GateOp(kind="fourier_dag", targets=(b,), controls=(a,), control_levels=(2,)),
+            GateOp(kind="fourier_dag", targets=(b,)),
+            GateOp(kind="xpow", power=1, targets=(b,), controls=(a,), control_levels=(2,)),
             GateOp(kind="cpow", base="z", power=1, controls=(c,), targets=(a,)),
         ))
         state = StateVector(reg, random_unit_vector(rng, reg.dim))
@@ -584,9 +583,9 @@ def test_circuit_on_an_in_order_block_matches_embedded_unitary():
         want = embed_apply(state, circuit_to_unitary(circ), (a, b, c))
         assert max_abs_diff(got.amplitudes, want.amplitudes) < 1e-12, offset
         assert np.array_equal(state.amplitudes, before)
-        # owned, the tensor itself may serve as one of the two buffers
+        # the caller's tensor may serve as one of the two buffers
         t = state.tensor().copy()
-        out = _apply_ops(t, circ, reg, owned=True)
+        out = _apply_ops(t, circ, reg)
         assert max_abs_diff(out.reshape(-1), want.amplitudes) < 1e-12, offset
 
 

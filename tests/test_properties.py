@@ -165,6 +165,8 @@ def gate_ops(draw, d, wires):
     targets = tuple(order[:ntargets])
     if kind == "cpow":
         controls, levels = (order[ntargets],), ()
+    elif kind in ("fourier", "fourier_dag"):  # they take no controls
+        controls, levels = (), ()
     else:
         nc = draw(st.integers(0, len(wires) - ntargets))
         controls = tuple(order[ntargets:ntargets + nc])

@@ -414,7 +414,7 @@ def test_run_protocol_scores_without_density_oracles(monkeypatch):
 
 
 def test_run_protocol_reuses_its_circuits(monkeypatch):
-    # a second run at the same (d, n, t, path) builds and compiles nothing
+    # a second run at the same (d, n, path) builds and compiles nothing
     from quditclone import circuits, protocol
 
     names = ("build_enc_factored", "build_udec_factored", "build_udec_circuit",
@@ -442,14 +442,14 @@ def test_run_protocol_reuses_its_circuits(monkeypatch):
         monkeypatch.setattr(circuits, name, refuse)
     again = run_protocol(params, seed=17)
     assert again.to_dict() == first.to_dict()
-    # another target, and the literal path, each build their own circuits
+    # another target reuses them, and the literal path builds its own
+    other = run_protocol(ProtocolParams(3, 2, target_party=2), seed=17)
     calls.update(dict.fromkeys(names, 0))
     for name in names:
         monkeypatch.setattr(circuits, name, counted(name))
-    other = run_protocol(ProtocolParams(3, 2, target_party=2), seed=17)
     literal = run_protocol(params, seed=17, decrypt_with_circuit=True)
-    assert calls["build_enc_factored"] == 2
-    assert calls["build_udec_factored"] == calls["build_udec_circuit"] == 1
+    assert calls["build_enc_factored"] == calls["build_udec_circuit"] == 1
+    assert calls["build_udec_factored"] == 0
     assert other.passed and literal.passed
     assert literal.decryption_fidelity == pytest.approx(first.decryption_fidelity, abs=1e-12)
     assert other.bell_residuals[0]["pair"] == ["A", "N2"]
@@ -620,13 +620,49 @@ def test_run_circuits_act_in_place_on_the_run_register():
     from quditclone.protocol import _run_circuits, _run_register
 
     for n in (1, 2, 3):
-        for t in range(1, n + 1):
-            reg = _run_register(3, n, t)
-            enc, udec = _run_circuits(3, n, t, False)
+        for literal in (False, True):
+            reg = _run_register(3, n, n)
+            enc, udec = _run_circuits(3, n, literal)
             assert reg.positions(enc.register.wires) == tuple(range(n + 1))
             assert reg.positions(udec.register.wires) == tuple(range(n, 2 * n + 1))
-            # the renamed encryption is u_enc on its wires
             assert max_abs_diff(circuit_to_unitary(enc), u_enc(ProtocolParams(3, n))) < 1e-12
+        # so do target t's own circuits on target t's register
+        for t in range(1, n + 1):
+            reg = _run_register(3, n, t)
+            udec = build_udec_factored(ProtocolParams(3, n, t))
+            assert reg.positions(udec.register.wires) == tuple(range(n, 2 * n + 1))
+
+
+def test_every_target_runs_one_circuit_pair(monkeypatch):
+    # after the first run at a (d, n, path), no target builds or compiles a
+    # circuit, and each target's report is the target-n report with every
+    # wire read under target t's name for its position, equal to the bit
+    from quditclone import circuits
+    from quditclone.protocol import _run_register
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a later target built or compiled a circuit")
+
+    names = ("build_enc_factored", "build_udec_factored", "build_udec_circuit", "_compile")
+    real = {name: getattr(circuits, name) for name in names}
+    for d, n in ((2, 3), (3, 3), (4, 2)):
+        for literal in (False, True):
+            for name in names:
+                monkeypatch.setattr(circuits, name, real[name])
+            first = run_protocol(ProtocolParams(d, n, n), seed=19, decrypt_with_circuit=literal)
+            for name in names:
+                monkeypatch.setattr(circuits, name, refuse)
+            for t in range(1, n + 1):
+                got = run_protocol(ProtocolParams(d, n, t), seed=19,
+                                   decrypt_with_circuit=literal).to_dict()
+                as_t = dict(zip(_run_register(d, n, n).wires, _run_register(d, n, t).wires))
+                want = first.to_dict()
+                want["target_party"] = t
+                marginals = {as_t[f"S{i}"]: m for i, m in enumerate(want["marginals"], 1)}
+                want["marginals"] = [marginals[f"S{i}"] for i in range(1, n + 1)]
+                want["bell_residuals"] = [{**r, "pair": [as_t[w] for w in r["pair"]]}
+                                          for r in want["bell_residuals"]]
+                assert got == want, (d, n, literal, t)
 
 
 def test_run_protocol_peak_memory_is_about_two_states():
