@@ -309,20 +309,34 @@ class UnitaryCheck:
         return self.ok
 
 
+def monomial_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row map and entries of a monomial square M, or None if M is not one.
+
+    M is monomial when it has one nonzero per row and column (a shift, a
+    phase, their tensor products). Column j's nonzero is then
+    M[rows[j], j] = entries[j], so M|j> = entries[j] |rows[j]>. One O(D^2)
+    scan.
+    """
+    nonzero = m != 0
+    if not ((nonzero.sum(0) == 1).all() and (nonzero.sum(1) == 1).all()):
+        return None
+    rows = nonzero.argmax(0)
+    return rows, m[rows, np.arange(len(m))]
+
+
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> UnitaryCheck:
     """Check max |(M M^dag - I)_ij| <= tol.
 
-    A monomial M, one nonzero per row and column (a shift, a phase, their
-    tensor products), takes an O(D^2) scan: M M^dag is then diagonal with
-    entries |m_i|^2 for the nonzero m_i of row i, so the deviation is
-    max ||m_i|^2 - 1|, exactly. Any other M takes the product.
+    A monomial M (``monomial_form``) takes an O(D^2) scan: M M^dag is then
+    diagonal with entries |m_j|^2 for the nonzero m_j of column j, so the
+    deviation is max ||m_j|^2 - 1|, exactly. Any other M takes the product.
     """
     m = _as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("is_unitary: matrix is not square")
-    nonzero = m != 0
-    if (nonzero.sum(0) == 1).all() and (nonzero.sum(1) == 1).all():
-        dev = float(np.max(np.abs(np.abs(m[nonzero]) ** 2 - 1)))
+    parts = monomial_form(m)
+    if parts is not None:
+        dev = float(np.max(np.abs(np.abs(parts[1]) ** 2 - 1)))
     else:
         g = m @ m.conj().T
         g[np.diag_indices_from(g)] -= 1

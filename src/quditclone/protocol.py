@@ -16,7 +16,11 @@ correction blocks) instead, so the two builders cross-check each other
 through one evaluator. The dense operators built here from the paper's
 formulas (``u_enc``, ``v_of_p``, ``u_dec_dense``, ``dec_projector_sum``)
 are oracles only: the tests and ``verify_identities`` use them, no run
-does.
+does. They are cheap to build for D = d^(n+1): ``v_of_p`` of a Pauli
+product, a monomial, takes O(D^2), and ``dec_projector_sum`` is one
+product over its d^2 Bell terms. ``verify_identities``'s relay check is
+one contraction over all its samples. Its remaining cost is the D x D
+products of ``is_unitary`` and of the two operator products it checks.
 
 A run orders its wires [A, S_j (j != t).., S_t, N_t, N_j (j != t)..]
 (``_run_register``), so that encryption's wires lead and decryption's
@@ -52,6 +56,7 @@ from .linalg import (
     kron,
     kron_all,
     max_abs_diff,
+    monomial_form,
     partial_trace,
     DensityMatrix,
 )
@@ -122,7 +127,11 @@ def v_of_p(p: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Chu-weighted power sum (1/sqrt d) sum_k c(k) P^k.
 
     Requires P unitary with P^d = I; under that structure the flat
-    spectrum of the coefficients makes the sum unitary.
+    spectrum of the coefficients makes the sum unitary. The loop's last
+    power is P^d, and the check reads it. A monomial P (``monomial_form``;
+    every ``pauli_product`` is one) keeps P^k as a row map and its
+    entries, so each power costs O(D) and the whole sum O(D^2), with no
+    D x D array but the result. Any other P takes d D x D products.
     """
     p = np.asarray(p, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -133,15 +142,30 @@ def v_of_p(p: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
             f"v_of_p: operator is not unitary (deviation {check.max_deviation:.3e})"
         )
     dim = p.shape[0]
-    if max_abs_diff(np.linalg.matrix_power(p, d), np.eye(dim)) > tol:
-        raise ValueError(f"v_of_p: operator does not satisfy P^{d} = I")
     c = cazac.chu(d).values
+    parts = monomial_form(p)
     out = np.zeros((dim, dim), dtype=complex)
-    pk = np.eye(dim, dtype=complex)
-    for k in range(d):
-        out += c[k] * pk
-        pk = p @ pk
-    return out / np.sqrt(d)
+    if parts is None:
+        pk = np.eye(dim, dtype=complex)
+        for k in range(d):
+            out += c[k] * pk
+            pk = p @ pk
+        pk[np.diag_indices(dim)] -= 1
+        periodic = np.abs(pk).max() <= tol
+    else:
+        # P^k|j> = val[j] |at[j]>, so P^(k+1)|j> = val[j] entries[at[j]] |rows[at[j]]>
+        rows, entries = parts
+        cols = np.arange(dim)
+        at, val = cols, np.ones(dim, dtype=complex)
+        for k in range(d):
+            out[at, cols] += c[k] * val
+            val = val * entries[at]
+            at = rows[at]
+        periodic = (at == cols).all() and np.abs(val - 1).max() <= tol
+    if not periodic:
+        raise ValueError(f"v_of_p: operator does not satisfy P^{d} = I")
+    out /= np.sqrt(d)
+    return out
 
 
 def exp_generalization(p: np.ndarray, theta: float) -> np.ndarray:
@@ -193,22 +217,26 @@ def dec_projector_sum(params: ProtocolParams) -> np.ndarray:
 
     A = sum_{k,l} conj(c_kl) Pi_kl x (X^k Z^-l)^{x(n-1)} where Pi_kl is
     the Bell-basis projector on the pair; unitary because the projectors
-    are orthogonal and complete.
+    are orthogonal and complete. With Pi_w = |b_w><b_w| for w = (k, l),
+    entry ((a, i), (b, j)) is sum_w b_w[a] (conj(c_kl b_w[b]) T_w[i, j])
+    for the tail T_w, so A is one product over the d^2 terms w: the Bell
+    vectors (d^2 x d^2) against the scaled bras times the tails laid out
+    as (w, i, b, j), which is already A's row-major order. Its one
+    temporary has A's size.
     """
     d, n = params.d, params.n
     dim = oracle_dim(params)
     c = cazac.chu(d).values
-    bell = gates.bell_basis(d)
-    weyl = gates.weyl_table(d)
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            b = bell[k * d + l]
-            proj = np.outer(b, b.conj())
-            corr = weyl[gates.weyl_row(d, k, -l)]
-            tail = kron_all([corr] * (n - 1)) if n >= 2 else np.eye(1, dtype=complex)
-            out += np.conj(c[k] * c[l]) * np.kron(proj, tail)
-    return out
+    bell = gates.bell_basis(d)  # row w = k d + l
+    k, l = np.divmod(np.arange(d * d), d)
+    corr = gates.weyl_table(d)[gates.weyl_row(d, k, -l)]
+    tails = np.ones((d * d, 1, 1), dtype=complex)
+    for _ in range(n - 1):
+        m = tails.shape[1] * d
+        tails = np.einsum("wij,wab->wiajb", tails, corr).reshape(d * d, m, m)
+    bras = np.conj(c[k] * c[l])[:, None] * bell.conj()
+    terms = np.einsum("wb,wij->wibj", bras, tails).reshape(d * d, -1)
+    return (bell.T @ terms).reshape(dim, dim)
 
 
 def u_dec_dense(params: ProtocolParams) -> np.ndarray:
@@ -365,23 +393,34 @@ def _prepare(d: int, n: int, psi: np.ndarray) -> np.ndarray:
     return x.reshape([d] * (2 * n + 1))
 
 
-# Keys (d, n, path) whose circuits a process keeps, compiled passes and
-# all. A key's tables (six gathers of at most d^(n+1) entries, four d x d
-# matrices) take at most 208 * d^(n+1) bytes, 5.4 MB at (161, 1).
+# Keys whose circuits a process keeps, compiled passes and all: (d, n)
+# for the encryption, (d, n, path) for the decryption. One encryption's
+# and one decryption's tables together (six gathers of at most d^(n+1)
+# entries, four d x d matrices) take at most 208 * d^(n+1) bytes, 5.4 MB
+# at (161, 1).
 _RUN_CIRCUIT_CACHE = 16
 
 
 @functools.lru_cache(maxsize=_RUN_CIRCUIT_CACHE)
-def _run_circuits(d: int, n: int, literal: bool) -> tuple[circuits.Circuit, ...]:
-    """The encryption and decryption circuits of a run, built once per key.
+def _enc_circuit(d: int, n: int) -> circuits.Circuit:
+    """A run's encryption, ``build_enc_factored``, built once per (d, n).
 
-    ``build_enc_factored`` and the decryption onto S_n, which act on the
-    leading and trailing n + 1 wires of ``_run_register(d, n, n)``.
-    Circuits are immutable and their compiled tables read-only, so every
-    run at one key shares them, whatever its target.
+    It acts on the leading n + 1 wires of ``_run_register(d, n, t)`` at
+    every t. Circuits are immutable and their compiled tables read-only,
+    so every run at (d, n) shares it, whatever its target or decryption.
+    """
+    return circuits.build_enc_factored(d, n)
+
+
+@functools.lru_cache(maxsize=_RUN_CIRCUIT_CACHE)
+def _dec_circuit(d: int, n: int, literal: bool) -> circuits.Circuit:
+    """A run's decryption onto S_n, built once per (d, n, path).
+
+    It acts on the trailing n + 1 wires of ``_run_register(d, n, n)``;
+    every target shares it, as with ``_enc_circuit``.
     """
     udec = circuits.build_udec_circuit if literal else circuits.build_udec_factored
-    return circuits.build_enc_factored(d, n), udec(ProtocolParams(d, n, n))
+    return udec(ProtocolParams(d, n, n))
 
 
 def run_protocol(
@@ -407,7 +446,8 @@ def run_protocol(
     ``decryption_scores``): no reduced-density copy of the state, no pair
     density matrix and no second product state is formed. The circuits
     are target n's, built and compiled on the first run at a (d, n, path)
-    and reused at every target (``_run_circuits``); the run scores their
+    and reused at every target (``_enc_circuit``, ``_dec_circuit``); the
+    encryption is also shared by both paths. The run scores their
     result under target t's wire names.
     """
     d, n, t = params.d, params.n, params.target_party
@@ -419,7 +459,7 @@ def run_protocol(
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    enc, udec = _run_circuits(d, n, bool(decrypt_with_circuit))
+    enc, udec = _enc_circuit(d, n), _dec_circuit(d, n, bool(decrypt_with_circuit))
     on = _run_register(d, n, n)  # the circuits' wire names
     reg = _run_register(d, n, t)
     x = _prepare(d, n, psi.amplitudes)
@@ -526,23 +566,24 @@ def _check_ricochet(d, rng, samples):
 
 
 def _check_bell_relay(d, rng, samples):
-    """The relay gate turns the Weyl-averaged pair state into Bell x data."""
+    """The relay gate turns the Weyl-averaged pair state into Bell x data.
+
+    Each sample draws d real then d imaginary parts, as one
+    ``standard_normal`` call per part would. For all samples at once,
+    sum_w (W_w psi) x (W_w x I)|Phi> is one contraction of the Weyl
+    table, the draws and the Bell basis, whose row w is (W_w x I)|Phi>.
+    """
     bell = gates.bell_amplitudes(d)
-    eye = np.eye(d)
-    cg = np.kron(eye, c_gate(d))
-    weyl = gates.weyl_table(d)
-    pairs = [np.kron(op, eye) @ bell for op in weyl]
-    worst = 0.0
-    for _ in range(samples):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        psi = v / np.linalg.norm(v)
-        lhs = np.zeros(d ** 3, dtype=complex)
-        for op, pair in zip(weyl, pairs):
-            lhs += np.kron(op @ psi, pair)
-        lhs = cg @ (lhs / d)
-        rhs = np.kron(bell, psi)
-        worst = max(worst, max_abs_diff(lhs, rhs))
-    return worst
+    cg = np.kron(np.eye(d), c_gate(d))
+    z = rng.standard_normal((samples, 2, d))
+    v = z[:, 0] + 1j * z[:, 1]
+    psi = v / np.linalg.norm(v, axis=1, keepdims=True)
+    lhs = np.einsum(
+        "wij,sj,wp->sip", gates.weyl_table(d), psi, gates.bell_basis(d), optimize=True
+    ).reshape(samples, d ** 3)
+    lhs = (lhs / d) @ cg.T
+    rhs = (bell[None, :, None] * psi[:, None, :]).reshape(samples, d ** 3)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def _check_bell_basis_orthonormal(gram):

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from quditclone.linalg import DEFAULT_TOL, Register, StateVector, _check_dim, is_unitary
+from quditclone import cazac, gates, protocol
+from quditclone.linalg import DEFAULT_TOL, Register, StateVector, _check_dim, is_unitary, kron_all
 
 
 def random_matrix(rng, d):
@@ -69,3 +70,38 @@ def p_controlled(u: np.ndarray, d: int, p: int, tol: float = DEFAULT_TOL) -> np.
     out = np.eye(d * d, dtype=complex)
     out[p * d:(p + 1) * d, p * d:(p + 1) * d] = np.linalg.matrix_power(u, p)
     return out
+
+
+def dec_projector_sum_loop(d: int, n: int) -> np.ndarray:
+    """Reference A = sum_{k,l} conj(c_k c_l) Pi_kl x (X^k Z^-l)^{x(n-1)}, one Kronecker term at a time."""
+    c = cazac.chu(d).values
+    bell = gates.bell_basis(d)
+    weyl = gates.weyl_table(d)
+    dim = d ** (n + 1)
+    out = np.zeros((dim, dim), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            b = bell[k * d + l]
+            proj = np.outer(b, b.conj())
+            corr = weyl[gates.weyl_row(d, k, -l)]
+            tail = kron_all([corr] * (n - 1)) if n >= 2 else np.eye(1, dtype=complex)
+            out += np.conj(c[k] * c[l]) * np.kron(proj, tail)
+    return out
+
+
+def bell_relay_loop(d: int, rng, samples: int) -> float:
+    """Reference relay check: per sample, sum_w (W_w psi) x (W_w x I)|Phi> term by term."""
+    bell = gates.bell_amplitudes(d)
+    eye = np.eye(d)
+    cg = np.kron(eye, protocol.c_gate(d))
+    weyl = gates.weyl_table(d)
+    pairs = [np.kron(op, eye) @ bell for op in weyl]
+    worst = 0.0
+    for _ in range(samples):
+        psi = random_unit_vector(rng, d)
+        lhs = np.zeros(d ** 3, dtype=complex)
+        for op, pair in zip(weyl, pairs):
+            lhs += np.kron(op @ psi, pair)
+        lhs = cg @ (lhs / d)
+        worst = max(worst, float(np.max(np.abs(lhs - np.kron(bell, psi)))))
+    return worst

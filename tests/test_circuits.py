@@ -403,7 +403,7 @@ def test_compiled_tables_are_read_only_and_reusable():
     params = ProtocolParams(3, 2, target_party=2)
     reg = protocol_register(3, 2)
     fresh = [build_enc_factored(3, 2), build_udec_factored(params), build_udec_circuit(params)]
-    cached = [*protocol._run_circuits(3, 2, False), protocol._run_circuits(3, 2, True)[1]]
+    cached = [protocol._enc_circuit(3, 2), *(protocol._dec_circuit(3, 2, p) for p in (False, True))]
     for circ, twin in zip(cached, fresh):
         assert circ == twin and circ is not twin
         states = [StateVector(reg, random_unit_vector(rng, reg.dim)) for _ in range(2)]

@@ -20,6 +20,7 @@ from quditclone import (
     phase_z,
     swap_gate,
 )
+from quditclone.linalg import monomial_form
 from quditclone.cazac import chu
 from quditclone.gates import bell_amplitudes
 
@@ -207,6 +208,19 @@ def test_is_unitary_monomial_scan_matches_product():
         want = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
         assert abs(check.max_deviation - want) < 1e-15
         assert bool(check) == (want <= 1e-10)
+
+
+def test_monomial_form_reads_back_the_matrix():
+    rng = np.random.default_rng(13)
+    perm = rng.permutation(27)
+    m = np.eye(27)[perm] * np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
+    for mat in (m, kron(shift_x(3), phase_z(3)), np.eye(4)):
+        rows, entries = monomial_form(mat)
+        back = np.zeros_like(mat, dtype=complex)
+        back[rows, np.arange(len(mat))] = entries
+        assert np.array_equal(back, mat)
+    for mat in (np.diag([1.0, 0.0]), fourier(3), np.ones((2, 2))):
+        assert monomial_form(mat) is None
 
 
 def test_overlap_basics():

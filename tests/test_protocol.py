@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import basis_state, random_matrix, random_unit_vector
+from conftest import (
+    basis_state,
+    bell_relay_loop,
+    dec_projector_sum_loop,
+    random_matrix,
+    random_unit_vector,
+    random_unitary,
+)
 from quditclone import (
     ProtocolParams,
     Register,
@@ -36,6 +43,7 @@ from quditclone import (
 )
 from quditclone.cazac import chu
 from quditclone.gates import bell_amplitudes, bell_basis, weyl_table
+from quditclone.linalg import monomial_form
 from quditclone.protocol import _check_bell_basis_orthonormal, _check_projector_algebra
 
 TOL = 1e-10
@@ -86,10 +94,50 @@ def test_v_of_p_identity_gives_unimodular_scalar():
         assert max_abs_diff(out, scalar * np.eye(d)) < 1e-14
 
 
+def _power_sum(p, d):
+    c = chu(d).values
+    return sum(c[k] * np.linalg.matrix_power(p, k) for k in range(d)) / np.sqrt(d)
+
+
+def test_v_of_p_matches_power_sum():
+    # a monomial P takes the row-map powers, any other P the products
+    rng = np.random.default_rng(23)
+    for d in (2, 3, 4, 5):
+        for n in (1, 2):
+            for axis in "xz":
+                p = pauli_product(axis, d, n)
+                assert monomial_form(p) is not None
+                assert max_abs_diff(v_of_p(p, d), _power_sum(p, d)) < 1e-12, (d, n, axis)
+        u = random_unitary(rng, d * d)
+        p = u @ np.kron(shift_x(d), phase_z(d)) @ u.conj().T
+        assert monomial_form(p) is None
+        assert max_abs_diff(v_of_p(p, d), _power_sum(p, d)) < 1e-12, d
+
+
 def test_v_of_p_rejects_wrong_order():
-    # X_3 has order 3, not 4
-    with pytest.raises(ValueError):
-        v_of_p(shift_x(3), 4)
+    # X_3 and Z_3 have order 3, not 4: the monomial powers end off the
+    # identity map (X) or on it with phases other than 1 (Z), and the
+    # product powers of a conjugated X_3 end off the identity
+    u = random_unitary(np.random.default_rng(29), 3)
+    for p in (shift_x(3), phase_z(3), u @ shift_x(3) @ u.conj().T):
+        with pytest.raises(ValueError, match="P\\^4 = I"):
+            v_of_p(p, 4)
+
+
+def test_v_of_p_traced_peak_is_two_operators():
+    # the result and P itself, plus O(D) power bookkeeping: P^d = I is read
+    # from the last power, with no dense identity, difference or power
+    import tracemalloc
+
+    d, n = 8, 2
+    v_of_p(pauli_product("x", d, n), d)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        v_of_p(pauli_product("x", d, n), d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * (d ** (n + 1)) ** 2 * 16
 
 
 def test_v_of_p_rejects_nonunitary():
@@ -228,6 +276,13 @@ def test_u_dec_matches_literal_sum():
                 tail = kron_all([x_power(d, k) @ z_power(d, -l)] * (n - 1))
                 total += np.conj(c[k] * c[l]) * np.kron(pair_head @ proj, tail)
         assert max_abs_diff(u_dec_dense(ProtocolParams(d, n)), total) < 1e-12
+
+
+def test_dec_projector_sum_matches_kron_loop():
+    for d in (2, 3, 4, 5):
+        for n in (1, 2, 3):
+            got = dec_projector_sum(ProtocolParams(d, n))
+            assert max_abs_diff(got, dec_projector_sum_loop(d, n)) < 1e-14, (d, n)
 
 
 def test_dec_projector_sum_unitary():
@@ -431,7 +486,8 @@ def test_run_protocol_reuses_its_circuits(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a cached run built or compiled a circuit")
 
-    protocol._run_circuits.cache_clear()
+    protocol._enc_circuit.cache_clear()
+    protocol._dec_circuit.cache_clear()
     for name in names:
         monkeypatch.setattr(circuits, name, counted(name))
     params = ProtocolParams(3, 2, target_party=1)
@@ -442,14 +498,15 @@ def test_run_protocol_reuses_its_circuits(monkeypatch):
         monkeypatch.setattr(circuits, name, refuse)
     again = run_protocol(params, seed=17)
     assert again.to_dict() == first.to_dict()
-    # another target reuses them, and the literal path builds its own
+    # another target reuses them, and the literal path builds only its
+    # own decryption: both paths share one encryption per (d, n)
     other = run_protocol(ProtocolParams(3, 2, target_party=2), seed=17)
     calls.update(dict.fromkeys(names, 0))
     for name in names:
         monkeypatch.setattr(circuits, name, counted(name))
     literal = run_protocol(params, seed=17, decrypt_with_circuit=True)
-    assert calls["build_enc_factored"] == calls["build_udec_circuit"] == 1
-    assert calls["build_udec_factored"] == 0
+    assert calls["build_udec_circuit"] == 1
+    assert calls["build_enc_factored"] == calls["build_udec_factored"] == 0
     assert other.passed and literal.passed
     assert literal.decryption_fidelity == pytest.approx(first.decryption_fidelity, abs=1e-12)
     assert other.bell_residuals[0]["pair"] == ["A", "N2"]
@@ -580,6 +637,46 @@ def test_verify_builds_each_oracle_once(monkeypatch):
     assert calls == {"v_of_p": 2, "dec_projector_sum": 1}
 
 
+def test_bell_relay_draws_the_per_sample_loop_samples(monkeypatch):
+    # the batched relay check leaves the generator where the per-sample
+    # loop does, so every later check of the suite sees the same draws
+    from quditclone import protocol
+
+    seen = []
+    real = protocol._check_bell_relay
+
+    def recorded(d, rng, samples):
+        worst = real(d, rng, samples)
+        seen.append((worst, rng.bit_generator.state))
+        return worst
+
+    monkeypatch.setattr(protocol, "_check_bell_relay", recorded)
+    for d in (2, 3, 5):
+        for seed in (0, 5):
+            seen.clear()
+            report = verify_identities(d, seed=seed)
+            rng = np.random.default_rng(seed)
+            protocol._check_ricochet(d, rng, 50)
+            want = bell_relay_loop(d, rng, 50)
+            (worst, state), = seen
+            assert state == rng.bit_generator.state, (d, seed)
+            assert abs(worst - want) <= 1e-14, (d, seed)
+            assert report.checks[1].name == "bell_relay"
+            assert report.checks[1].max_deviation == worst
+    # with the identity for the relay gate the deviation is O(1) and set by
+    # the draws, so the two agree only if each sample draws the same psi
+    monkeypatch.setattr(protocol, "c_gate", lambda d: np.eye(d * d))
+    for d in (3, 5):
+        for seed in (0, 5):
+            got = real(d, np.random.default_rng(seed), 50)
+            want = bell_relay_loop(d, np.random.default_rng(seed), 50)
+            assert got > 0.1 and abs(got - want) < 1e-12, (d, seed)
+    # no samples, no draws
+    rng = np.random.default_rng(0)
+    assert real(3, rng, 0) == 0.0
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 def test_u_enc_is_invariant_under_wire_permutations():
     # a run encrypts on its own share order, which is the same operator
     import itertools
@@ -617,12 +714,12 @@ def test_run_circuits_act_in_place_on_the_run_register():
     # encryption's wires lead the run register and decryption's trail it
     # (S_t is the last of the one and the first of the other),
     # each in circuit order, so neither circuit needs a transposed copy
-    from quditclone.protocol import _run_circuits, _run_register
+    from quditclone.protocol import _dec_circuit, _enc_circuit, _run_register
 
     for n in (1, 2, 3):
         for literal in (False, True):
             reg = _run_register(3, n, n)
-            enc, udec = _run_circuits(3, n, literal)
+            enc, udec = _enc_circuit(3, n), _dec_circuit(3, n, literal)
             assert reg.positions(enc.register.wires) == tuple(range(n + 1))
             assert reg.positions(udec.register.wires) == tuple(range(n, 2 * n + 1))
             assert max_abs_diff(circuit_to_unitary(enc), u_enc(ProtocolParams(3, n))) < 1e-12
