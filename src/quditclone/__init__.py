@@ -12,20 +12,14 @@ from .linalg import (
     DEFAULT_TOL,
     OPERATOR_DIM_CAP,
     STATE_AMPLITUDE_CAP,
-    DensityMatrix,
     Register,
     SizeCapError,
     StateVector,
     UnitaryCheck,
-    embed_apply,
     is_unitary,
     kron,
     kron_all,
     max_abs_diff,
-    overlap,
-    partial_trace,
-    product_state,
-    reduced_density,
 )
 from .gates import (
     fourier,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _check_dim
+from .linalg import DEFAULT_TOL, _check_dim, _check_state_size
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,12 @@ def autocorr2d(d: int) -> np.ndarray:
     Entry (m, n) is |(1/d^2) sum_{k,l} c_kl conj(c_{k+m, l+n})| with
     cyclic index shifts; the grid is a delta at (0, 0). Since
     c_kl = c(k) c(l), the sum factors into |a(m) a(n)| with a the 1D
-    periodic autocorrelation of the Chu sequence.
+    periodic autocorrelation of the Chu sequence. The grid holds d^2
+    entries and both CLI formats list one row per entry, so it takes the
+    state-size rule: d <= 2048.
     """
+    _check_dim(d)
+    _check_state_size(d, 2, "autocorr grid")
     c = chu(d).values
     a = np.array([periodic_autocorr(c, s) for s in range(d)])
     return np.abs(np.outer(a, a))

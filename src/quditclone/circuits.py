@@ -47,7 +47,6 @@ from . import cazac, gates
 from .linalg import (
     Register,
     StateVector,
-    _apply_on_axes,
     _check_dim,
     _check_operator_dim,
 )
@@ -270,6 +269,21 @@ class _Gather(NamedTuple):
             y *= self.g[:, None]
 
 
+# A single-axis product is batched, one matrix product per leading index,
+# when at least _BATCHED_MIN_TRAIL amplitudes trail the axis, or when more
+# than one trails it on a tensor of more than _ONE_PRODUCT_MAX_SIZE
+# amplitudes. Otherwise one product on the transposed tensor is faster.
+# Medians of 400 interleaved calls on a 2-vCPU host with 2 OpenBLAS
+# threads, batched against one product, (lead, d, trail): (81, 3, 9) 35
+# against 16 us, (64, 2, 16) 23 against 13; (243, 3, 27) 111 against 237,
+# (625, 5, 25) 0.40 against 1.3 ms, (1296, 6, 36) 1.1 against 3.9 ms.
+# (256, 4, 16) is near even (107 against 82 us), but the one product there
+# took 7.9 ms in 5% of calls, when OpenBLAS split it over its threads. With
+# the axis last, the one product is faster: (4096, 64, 1) 2.1 against 7.9 ms.
+_BATCHED_MIN_TRAIL = 64
+_ONE_PRODUCT_MAX_SIZE = 4096
+
+
 class _Product(NamedTuple):
     """A compiled one-wire stretch: one product with its d x d matrix ``m``."""
 
@@ -277,8 +291,23 @@ class _Product(NamedTuple):
     m: np.ndarray
 
     def apply(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Write the product with ``x`` into ``out``, a C-contiguous array of its shape."""
-        _apply_on_axes(x, self.m, [self.position], out=out)
+        """Write the product with ``x`` into ``out``, a C-contiguous array of its shape.
+
+        ``x`` is C-contiguous and shares no memory with ``out``.
+        """
+        p = self.position
+        lead, trail = math.prod(x.shape[:p]), math.prod(x.shape[p + 1:])
+        if trail >= _BATCHED_MIN_TRAIL or (trail > 1 and x.size > _ONE_PRODUCT_MAX_SIZE):
+            # one matrix product per leading index, on contiguous blocks
+            shape = (lead, x.shape[p], trail)
+            np.matmul(self.m, x.reshape(shape), out=out.reshape(shape))
+            return
+        # bring the axis to the front, act with one matrix product, then
+        # undo the permutation
+        perm = [p] + [i for i in range(x.ndim) if i != p]
+        t = x.transpose(perm)
+        res = (self.m @ t.reshape(len(self.m), -1)).reshape(t.shape)
+        out[...] = res.transpose(sorted(range(len(perm)), key=perm.__getitem__))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

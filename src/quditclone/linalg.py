@@ -6,8 +6,7 @@ wires (first wire = most significant base-d digit). All functions are
 pure; the small dataclasses below are immutable after construction.
 """
 
-import math
-from dataclasses import dataclass, field, InitVar
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,11 +106,6 @@ class Register:
             raise ValueError(f"repeated wires in {tuple(wires)}")
         return tuple(pos)
 
-    def subregister(self, wires) -> "Register":
-        wires = tuple(wires)
-        self.positions(wires)
-        return Register(self.d, wires)
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -142,159 +136,6 @@ class StateVector:
         """Amplitudes reshaped to one axis per wire."""
         d, w = self.register.d, self.register.num_wires
         return self.amplitudes.reshape([d] * w)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Density operator over a register (possibly a sub-register)."""
-
-    register: Register
-    matrix: np.ndarray
-    validate: InitVar[bool] = True
-
-    def __post_init__(self, validate):
-        mat = _as_complex(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        if mat.shape != (self.register.dim, self.register.dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match register "
-                f"dimension {self.register.dim}"
-            )
-        _check_finite(mat, "density matrix")
-        if validate:
-            tol = 1e-8
-            if np.max(np.abs(mat - mat.conj().T)) > tol:
-                raise ValueError("density matrix is not hermitian")
-            if abs(np.trace(mat) - 1.0) > tol:
-                raise ValueError(f"density matrix trace {np.trace(mat)} is not 1")
-            if np.min(np.linalg.eigvalsh(mat)) < -tol:
-                raise ValueError("density matrix has a negative eigenvalue")
-
-
-def product_state(register: Register, parts) -> StateVector:
-    """Assemble a product state from per-group amplitude factors.
-
-    ``parts`` is an iterable of ``(wires, amplitudes)`` pairs whose wire
-    groups partition the register; each factor is a flat amplitude array
-    over its own wires (big-endian).
-    """
-    d = register.d
-    t = np.ones(1, dtype=complex)
-    order: list[str] = []
-    for wires, amps in parts:
-        wires = tuple(wires)
-        amps = _as_complex(amps).reshape(-1)
-        if amps.size != d ** len(wires):
-            raise ValueError(f"factor on {wires} has wrong size {amps.size}")
-        t = np.kron(t, amps)
-        order.extend(wires)
-    if sorted(order) != sorted(register.wires):
-        raise ValueError("factors do not partition the register wires")
-    perm = [order.index(w) for w in register.wires]
-    amps = t.reshape([d] * len(order)).transpose(perm).reshape(-1)
-    return StateVector(register, amps)
-
-
-# A single-axis product is batched, one matrix product per leading index,
-# when at least _BATCHED_MIN_TRAIL amplitudes trail the axis, or when more
-# than one trails it on a tensor of more than _ONE_PRODUCT_MAX_SIZE
-# amplitudes. Otherwise one product on the transposed tensor is faster.
-# Medians of 400 interleaved calls on a 2-vCPU host with 2 OpenBLAS
-# threads, batched against one product, (lead, d, trail): (81, 3, 9) 35
-# against 16 us, (64, 2, 16) 23 against 13; (243, 3, 27) 111 against 237,
-# (625, 5, 25) 0.40 against 1.3 ms, (1296, 6, 36) 1.1 against 3.9 ms.
-# (256, 4, 16) is near even (107 against 82 us), but the one product there
-# took 7.9 ms in 5% of calls, when OpenBLAS split it over its threads. With
-# the axis last, the one product is faster: (4096, 64, 1) 2.1 against 7.9 ms.
-_BATCHED_MIN_TRAIL = 64
-_ONE_PRODUCT_MAX_SIZE = 4096
-
-
-def _apply_on_axes(tensor: np.ndarray, op: np.ndarray, positions, out=None) -> np.ndarray:
-    """Contract ``op`` against the given axes of an amplitude tensor.
-
-    ``tensor`` may carry extra trailing axes (e.g. a column axis when the
-    target is a matrix); only the listed axes are transformed. The result
-    is written to ``out`` when given: a C-contiguous array of the tensor's
-    shape that does not overlap it.
-    """
-    if len(positions) == 1 and tensor.flags.c_contiguous:
-        p = positions[0]
-        lead, trail = math.prod(tensor.shape[:p]), math.prod(tensor.shape[p + 1:])
-        if trail >= _BATCHED_MIN_TRAIL or (trail > 1 and tensor.size > _ONE_PRODUCT_MAX_SIZE):
-            # one matrix product per leading index, on contiguous blocks
-            x = tensor.reshape(lead, tensor.shape[p], trail)
-            o = None if out is None else out.reshape(x.shape)
-            return np.matmul(op, x, out=o).reshape(tensor.shape)
-    # bring the listed axes to the front, act with one matrix product,
-    # then undo the permutation
-    perm = list(positions) + [i for i in range(tensor.ndim) if i not in positions]
-    t = tensor.transpose(perm)
-    res = (op @ t.reshape(op.shape[1], -1)).reshape(t.shape)
-    res = res.transpose(sorted(range(len(perm)), key=perm.__getitem__))
-    if out is None:
-        return res
-    out[...] = res
-    return out
-
-
-def embed_apply(state: StateVector, op: np.ndarray, wires) -> StateVector:
-    """Apply ``op`` to a wire subset, identity on all other wires.
-
-    The operator dimension must be d**len(wires); wire order is the
-    caller's, so the same matrix can target any permutation of wires.
-    """
-    reg = state.register
-    positions = reg.positions(wires)
-    op = _as_complex(op)
-    want = reg.d ** len(positions)
-    if op.shape != (want, want):
-        raise ValueError(
-            f"operator shape {op.shape} does not match {len(positions)} "
-            f"wire(s) of dimension {reg.d}"
-        )
-    t = _apply_on_axes(state.tensor(), op, positions)
-    return StateVector(reg, t.reshape(-1))
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every wire not listed in ``keep`` (output in keep order)."""
-    keep = tuple(keep)
-    if len(keep) == 0:
-        raise ValueError("partial_trace: keep set must be nonempty")
-    reg = rho.register
-    kpos = reg.positions(keep)
-    w = reg.num_wires
-    t = rho.matrix.reshape([reg.d] * (2 * w))
-    # row axis i pairs with column axis w+i; traced wires share a symbol
-    syms = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    row = list(syms[:w])
-    col = list(syms[w:2 * w])
-    for i in range(w):
-        if i not in kpos:
-            col[i] = row[i]
-    out = "".join(row[i] for i in kpos) + "".join(col[i] for i in kpos)
-    mat = np.einsum("".join(row) + "".join(col) + "->" + out, t)
-    dk = reg.d ** len(keep)
-    sub = reg.subregister(keep)
-    return DensityMatrix(sub, mat.reshape(dk, dk), validate=False)
-
-
-def reduced_density(state: StateVector, keep) -> DensityMatrix:
-    """Reduced density matrix of a pure state on the kept wires.
-
-    Equivalent to ``partial_trace(|s><s|, keep)`` but never materializes
-    the full-register density matrix.
-    """
-    keep = tuple(keep)
-    if len(keep) == 0:
-        raise ValueError("reduced_density: keep set must be nonempty")
-    reg = state.register
-    kpos = reg.positions(keep)
-    rest = [i for i in range(reg.num_wires) if i not in kpos]
-    t = np.transpose(state.tensor(), list(kpos) + rest)
-    a = t.reshape(reg.d ** len(keep), -1)
-    return DensityMatrix(reg.subregister(keep), a @ a.conj().T, validate=False)
 
 
 @dataclass(frozen=True)
@@ -342,13 +183,6 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> UnitaryCheck:
         g[np.diag_indices_from(g)] -= 1
         dev = float(np.max(np.abs(g)))
     return UnitaryCheck(dev <= tol, dev, tol)
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>."""
-    if a.register != b.register:
-        raise ValueError("overlap: states live on different registers")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:

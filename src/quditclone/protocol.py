@@ -27,15 +27,14 @@ A run orders its wires [A, S_j (j != t).., S_t, N_t, N_j (j != t)..]
 trail, each in its circuit's order, and both circuits act on the state
 without a transposed copy. The tensor and every pass are then the same
 for every target t, so each target runs target n's circuits and reads
-the tensor under its own wire names. It writes the initial state directly
-(``product_state`` is its oracle in the tests). The score also reads the
-state where it lies. ``share_marginals`` takes each share's marginal as
-a batched dot product over a view of the state, and
-``decryption_scores`` applies the Bell bra to a pair as a sum of its
+the tensor under its own wire names. It writes the initial state directly,
+and the score reads the state where it lies. ``share_marginals`` takes
+each share's marginal as a batched dot product over a view of the state,
+and ``decryption_scores`` applies the Bell bra to a pair as a sum of its
 diagonal, so a run makes no transposed copy of the state per share and
-builds no second product state. ``linalg.reduced_density`` and
-``overlap`` are the independent oracles that the tests compare these
-scores against.
+builds no second product state. The oracles that the tests compare the
+initial state and these scores against (the product state, reduced
+density matrices, inner products) live in ``tests/conftest.py``.
 """
 
 import functools
@@ -57,8 +56,6 @@ from .linalg import (
     kron_all,
     max_abs_diff,
     monomial_form,
-    partial_trace,
-    DensityMatrix,
 )
 
 
@@ -123,7 +120,7 @@ def pauli_product(axis: str, d: int, n: int) -> np.ndarray:
     return kron_all([base] * (n + 1))
 
 
-def v_of_p(p: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
+def v_of_p(p: np.ndarray, d: int) -> np.ndarray:
     """Chu-weighted power sum (1/sqrt d) sum_k c(k) P^k.
 
     Requires P unitary with P^d = I; under that structure the flat
@@ -136,7 +133,7 @@ def v_of_p(p: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
     p = np.asarray(p, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("v_of_p: operator is not square")
-    check = is_unitary(p, tol)
+    check = is_unitary(p)
     if not check:
         raise ValueError(
             f"v_of_p: operator is not unitary (deviation {check.max_deviation:.3e})"
@@ -151,7 +148,7 @@ def v_of_p(p: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
             out += c[k] * pk
             pk = p @ pk
         pk[np.diag_indices(dim)] -= 1
-        periodic = np.abs(pk).max() <= tol
+        periodic = np.abs(pk).max() <= DEFAULT_TOL
     else:
         # P^k|j> = val[j] |at[j]>, so P^(k+1)|j> = val[j] entries[at[j]] |rows[at[j]]>
         rows, entries = parts
@@ -161,7 +158,7 @@ def v_of_p(p: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:
             out[at, cols] += c[k] * val
             val = val * entries[at]
             at = rows[at]
-        periodic = (at == cols).all() and np.abs(val - 1).max() <= tol
+        periodic = (at == cols).all() and np.abs(val - 1).max() <= DEFAULT_TOL
     if not periodic:
         raise ValueError(f"v_of_p: operator does not satisfy P^{d} = I")
     out /= np.sqrt(d)
@@ -303,11 +300,11 @@ class ProtocolReport:
         return out
 
 
-def random_state(d: int, seed: int | None, wire: str = "A") -> StateVector:
-    """Seeded complex-normal vector normalized to unit length."""
+def random_state(d: int, seed: int | None) -> StateVector:
+    """Seeded complex-normal vector on wire A, normalized to unit length."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return StateVector(Register(d, (wire,)), v / np.linalg.norm(v))
+    return StateVector(Register(d, ("A",)), v / np.linalg.norm(v))
 
 
 def share_marginals(state: StateVector, n: int) -> list[np.ndarray]:
@@ -316,8 +313,9 @@ def share_marginals(state: StateVector, n: int) -> list[np.ndarray]:
     Share S_i is axis p of the amplitude tensor, so the tensor reshaped
     to x of shape (d^p, d, rest) is a view, and entry (i, j) of the
     marginal is sum_a <x[a, j], x[a, i]>: one batched conjugating dot
-    product, with no transposed or conjugated copy of the state. Equals
-    ``reduced_density(state, ("S<i>",))``.
+    product, with no transposed or conjugated copy of the state. The
+    tests check it against the reduced-density oracle of
+    ``tests/conftest.py``.
     """
     reg = state.register
     out = []
@@ -385,7 +383,8 @@ def _prepare(d: int, n: int, psi: np.ndarray) -> np.ndarray:
     S_j's, and 0 elsewhere. In the run's order the N block's digits are
     the S block's rotated by one place, (s_t, s_j..) against (s_j.., s_t),
     so the d^(n+1) nonzero entries are written into a zero tensor
-    directly. Equals ``product_state`` of the same factors.
+    directly. The tests check it against the product-state oracle of
+    ``tests/conftest.py``.
     """
     x = np.zeros((d, d ** n, d ** n), dtype=complex)
     s = np.arange(d ** n)
@@ -630,15 +629,14 @@ def _check_partial_trace_product(d, rng, samples):
     """Tr_B((O1 x I)|Phi><Phi|(O2^dag x I)) = O1 O2^dag / d."""
     bell = gates.bell_amplitudes(d)
     eye = np.eye(d)
-    reg = Register(d, ("a", "b"))
     worst = 0.0
     for _ in range(samples):
         o1 = _random_matrix(rng, d)
         o2 = _random_matrix(rng, d)
         v1 = np.kron(o1, eye) @ bell
         v2 = np.kron(o2, eye) @ bell
-        rho = DensityMatrix(reg, np.outer(v1, v2.conj()), validate=False)
-        lhs = partial_trace(rho, ("a",)).matrix
+        # Tr_B |v1><v2|: equate the second wire's row and column index, and sum
+        lhs = np.einsum("abcb->ac", np.outer(v1, v2.conj()).reshape(d, d, d, d))
         worst = max(worst, max_abs_diff(lhs, o1 @ o2.conj().T / d))
     return worst
 

@@ -1,9 +1,21 @@
-"""Shared test helpers: seeded random draws and dense reference states and gates."""
+"""Shared test helpers: seeded random draws, dense reference states and gates,
+and the state oracles (product states, operator embedding, density matrices,
+partial traces, overlaps) that the package's in-place code is checked against."""
+
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 from quditclone import cazac, gates, protocol
-from quditclone.linalg import DEFAULT_TOL, Register, StateVector, _check_dim, is_unitary, kron_all
+from quditclone.linalg import (
+    DEFAULT_TOL,
+    Register,
+    StateVector,
+    _check_dim,
+    _check_finite,
+    is_unitary,
+    kron_all,
+)
 
 
 def random_matrix(rng, d):
@@ -33,6 +45,127 @@ def basis_state(register: Register, digits) -> StateVector:
     amps = np.zeros(register.dim, dtype=complex)
     amps[idx] = 1.0
     return StateVector(register, amps)
+
+
+def product_state(register: Register, parts) -> StateVector:
+    """Assemble a product state from per-group amplitude factors.
+
+    ``parts`` is an iterable of ``(wires, amplitudes)`` pairs whose wire
+    groups partition the register; each factor is a flat amplitude array
+    over its own wires (big-endian).
+    """
+    d = register.d
+    t = np.ones(1, dtype=complex)
+    order: list[str] = []
+    for wires, amps in parts:
+        wires = tuple(wires)
+        amps = np.asarray(amps, dtype=complex).reshape(-1)
+        if amps.size != d ** len(wires):
+            raise ValueError(f"factor on {wires} has wrong size {amps.size}")
+        t = np.kron(t, amps)
+        order.extend(wires)
+    if sorted(order) != sorted(register.wires):
+        raise ValueError("factors do not partition the register wires")
+    perm = [order.index(w) for w in register.wires]
+    amps = t.reshape([d] * len(order)).transpose(perm).reshape(-1)
+    return StateVector(register, amps)
+
+
+def embed_apply(state: StateVector, op: np.ndarray, wires) -> StateVector:
+    """Apply ``op`` to a wire subset, identity on all other wires.
+
+    The operator dimension must be d**len(wires); wire order is the
+    caller's, so the same matrix can target any permutation of wires.
+    One ``tensordot`` of the operator's column axes against the listed
+    axes, then the operator's row axes moved back into their places:
+    nothing of the circuit evaluator runs.
+    """
+    reg = state.register
+    positions = reg.positions(wires)
+    op = np.asarray(op, dtype=complex)
+    k = len(positions)
+    want = reg.d ** k
+    if op.shape != (want, want):
+        raise ValueError(
+            f"operator shape {op.shape} does not match {k} wire(s) of dimension {reg.d}"
+        )
+    t = np.tensordot(op.reshape([reg.d] * (2 * k)), state.tensor(),
+                     axes=(list(range(k, 2 * k)), list(positions)))
+    t = np.moveaxis(t, list(range(k)), list(positions))
+    return StateVector(reg, t.reshape(-1))
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Density operator over a register (possibly a sub-register)."""
+
+    register: Register
+    matrix: np.ndarray
+    validate: InitVar[bool] = True
+
+    def __post_init__(self, validate):
+        mat = np.asarray(self.matrix, dtype=complex)
+        object.__setattr__(self, "matrix", mat)
+        if mat.shape != (self.register.dim, self.register.dim):
+            raise ValueError(
+                f"matrix shape {mat.shape} does not match register "
+                f"dimension {self.register.dim}"
+            )
+        _check_finite(mat, "density matrix")
+        if validate:
+            tol = 1e-8
+            if np.max(np.abs(mat - mat.conj().T)) > tol:
+                raise ValueError("density matrix is not hermitian")
+            if abs(np.trace(mat) - 1.0) > tol:
+                raise ValueError(f"density matrix trace {np.trace(mat)} is not 1")
+            if np.min(np.linalg.eigvalsh(mat)) < -tol:
+                raise ValueError("density matrix has a negative eigenvalue")
+
+
+def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
+    """Trace out every wire not listed in ``keep`` (output in keep order)."""
+    keep = tuple(keep)
+    if len(keep) == 0:
+        raise ValueError("partial_trace: keep set must be nonempty")
+    reg = rho.register
+    kpos = reg.positions(keep)
+    w = reg.num_wires
+    t = rho.matrix.reshape([reg.d] * (2 * w))
+    # row axis i pairs with column axis w+i; traced wires share a symbol
+    syms = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    row = list(syms[:w])
+    col = list(syms[w:2 * w])
+    for i in range(w):
+        if i not in kpos:
+            col[i] = row[i]
+    out = "".join(row[i] for i in kpos) + "".join(col[i] for i in kpos)
+    mat = np.einsum("".join(row) + "".join(col) + "->" + out, t)
+    dk = reg.d ** len(keep)
+    return DensityMatrix(Register(reg.d, keep), mat.reshape(dk, dk), validate=False)
+
+
+def reduced_density(state: StateVector, keep) -> DensityMatrix:
+    """Reduced density matrix of a pure state on the kept wires.
+
+    Equivalent to ``partial_trace(|s><s|, keep)`` but never materializes
+    the full-register density matrix.
+    """
+    keep = tuple(keep)
+    if len(keep) == 0:
+        raise ValueError("reduced_density: keep set must be nonempty")
+    reg = state.register
+    kpos = reg.positions(keep)
+    rest = [i for i in range(reg.num_wires) if i not in kpos]
+    t = np.transpose(state.tensor(), list(kpos) + rest)
+    a = t.reshape(reg.d ** len(keep), -1)
+    return DensityMatrix(Register(reg.d, keep), a @ a.conj().T, validate=False)
+
+
+def overlap(a: StateVector, b: StateVector) -> complex:
+    """Inner product <a|b>."""
+    if a.register != b.register:
+        raise ValueError("overlap: states live on different registers")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def controlled_power(u: np.ndarray, d: int, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -139,3 +139,20 @@ def test_autocorr_csv_shape():
     assert lines[0] == "m,n,magnitude"
     assert len(lines) == 10
     assert lines[1].startswith("0,0,1.0")
+
+
+def test_autocorr2d_takes_the_state_cap(monkeypatch):
+    # the d^2 grid is refused above 2048 before the sequence is built
+    from quditclone import SizeCapError, cazac
+
+    class Admitted(Exception):
+        pass
+
+    def admitted(d):
+        raise Admitted
+
+    monkeypatch.setattr(cazac, "chu", admitted)
+    with pytest.raises(Admitted):
+        autocorr2d(2048)
+    with pytest.raises(SizeCapError, match="2049\\^2 amplitudes, over the cap"):
+        autocorr2d(2049)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import controlled_power, p_controlled, random_unit_vector
+from conftest import controlled_power, embed_apply, p_controlled, random_unit_vector
 from quditclone import (
     Circuit,
     GateOp,
@@ -22,7 +22,6 @@ from quditclone import (
     circuit_to_unitary,
     counts_csv,
     counts_table,
-    embed_apply,
     fourier,
     gate_counts,
     is_unitary,

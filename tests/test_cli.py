@@ -267,6 +267,24 @@ def test_autocorr_deterministic(tmp_path, capsys):
     assert len(f1.read_text().strip().split("\n")) == 82
 
 
+def test_autocorr_refuses_a_grid_over_the_state_cap(capsys):
+    # both formats list d^2 rows: 2049^2 is over the state cap, refused
+    # before anything is computed
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for fmt in ("csv", "json"):
+            code, out, err = run_cli(capsys, "autocorr", "--d", "2049", "--format", fmt)
+            assert code == 2
+            assert out == ""
+            assert "cap" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_circuit_dump(capsys):
     code, out, _ = run_cli(capsys, "circuit-dump", "udec", "--d", "2", "--n", "2")
     assert code == 0

@@ -1,21 +1,26 @@
 import numpy as np
 import pytest
 
-from conftest import basis_state, random_matrix, random_unit_vector, random_unitary
-from quditclone import (
+from conftest import (
     DensityMatrix,
+    basis_state,
+    embed_apply,
+    overlap,
+    partial_trace,
+    product_state,
+    random_matrix,
+    random_unit_vector,
+    random_unitary,
+    reduced_density,
+)
+from quditclone import (
     Register,
     SizeCapError,
     StateVector,
-    embed_apply,
     fourier,
     is_unitary,
     kron,
     max_abs_diff,
-    overlap,
-    partial_trace,
-    product_state,
-    reduced_density,
     shift_x,
     phase_z,
     swap_gate,
@@ -272,21 +277,20 @@ def test_state_vector_refuses_non_finite_and_overflowing_entries():
 
 
 def test_single_axis_products_agree_with_einsum():
-    # batched and transposed products, with and without out; the axis last
-    # takes the transposed product at any size
-    from quditclone.linalg import _apply_on_axes
+    # a compiled product pass, batched or transposed, writes its result
+    # into out; the axis last takes the transposed product at any size, and
+    # an axis third tells the inverse permutation from the forward one
+    from quditclone.circuits import _Product
 
     rng = np.random.default_rng(67)
     for shape, p in (((2, 3, 4), 1), ((36, 6, 36), 1), ((3, 9, 3), 1), ((25, 5), 1),
                      ((2, 2, 64), 1), ((4, 3, 5), 0), ((1296, 6, 6), 1),
-                     ((1024, 5), 1)):
+                     ((1024, 5), 1), ((2, 3, 4, 5), 2)):
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         m = random_matrix(rng, shape[p])
         want = np.moveaxis(np.tensordot(m, t, axes=([1], [p])), 0, p)
-        assert max_abs_diff(_apply_on_axes(t, m, [p]), want) < 1e-12, shape
         out = np.empty_like(t)
-        got = _apply_on_axes(t, m, [p], out=out)
-        assert np.shares_memory(got, out), shape
+        _Product(p, m).apply(t, out)
         assert max_abs_diff(out, want) < 1e-12, shape
 
 

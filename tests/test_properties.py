@@ -6,7 +6,7 @@ evaluator agrees with a product of dense per-gate matrices."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import controlled_power
+from conftest import controlled_power, overlap, product_state, reduced_density
 from quditclone import (
     Circuit,
     GateOp,
@@ -24,11 +24,8 @@ from quditclone import (
     kron,
     kron_all,
     max_abs_diff,
-    overlap,
-    product_state,
     protocol_register,
     random_state,
-    reduced_density,
     run_protocol,
     share_marginals,
     swap_gate,
