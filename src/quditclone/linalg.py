@@ -150,34 +150,96 @@ class UnitaryCheck:
         return self.ok
 
 
+def column_sparse_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Row indices and entries of a column-sparse M, or None if M is not one.
+
+    M is column-sparse when each column holds the same number r of
+    nonzeros, with r^2 <= D for D rows, so that the r^2 D pairs that
+    ``is_unitary`` multiplies cost no more than this O(D^2) scan. Column
+    j's nonzeros are M[rows[i, j], j] = entries[i, j], i < r, rows
+    ascending, as two (r, D) arrays. A denser M is refused from its count
+    before any index is listed.
+    """
+    nonzero = m != 0
+    r, rest = divmod(np.count_nonzero(nonzero), m.shape[1])
+    if rest or r * r > len(m):
+        return None
+    rows, cols = np.divmod(np.flatnonzero(nonzero), m.shape[1])
+    if (np.bincount(cols, minlength=m.shape[1]) != r).any():
+        return None
+    rows = rows[np.argsort(cols, kind="stable")].reshape(m.shape[1], r).T
+    return rows, m[rows, np.arange(m.shape[1])]
+
+
 def monomial_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Row map and entries of a monomial square M, or None if M is not one.
 
     M is monomial when it has one nonzero per row and column (a shift, a
-    phase, their tensor products). Column j's nonzero is then
-    M[rows[j], j] = entries[j], so M|j> = entries[j] |rows[j]>. One O(D^2)
-    scan.
+    phase, their tensor products): the column-sparse form at r = 1 with
+    distinct rows. Column j's nonzero is then M[rows[j], j] = entries[j],
+    so M|j> = entries[j] |rows[j]>. One O(D^2) scan.
     """
-    nonzero = m != 0
-    if not ((nonzero.sum(0) == 1).all() and (nonzero.sum(1) == 1).all()):
+    parts = column_sparse_form(m)
+    if parts is None or len(parts[0]) != 1:
         return None
-    rows = nonzero.argmax(0)
-    return rows, m[rows, np.arange(len(m))]
+    rows, entries = parts[0][0], parts[1][0]
+    if (np.bincount(rows, minlength=len(m)) != 1).any():
+        return None
+    return rows, entries
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A @ B, as a gather and scale in O(D^2) when either factor is monomial.
+
+    With B|j> = e_j |r_j>, column j of A B is e_j times column r_j of A;
+    with A|j> = e_j |r_j>, row r_j of A B is e_j times row j of B. Any
+    other pair takes the product.
+    """
+    parts = monomial_form(b)
+    if parts is not None:
+        rows, entries = parts
+        return a[:, rows] * entries
+    parts = monomial_form(a)
+    if parts is not None:
+        rows, entries = parts
+        out = np.empty(b.shape, dtype=np.result_type(a, b))
+        out[rows] = entries[:, None] * b
+        return out
+    return a @ b
+
+
+def _sparse_gram_deviation(rows: np.ndarray, entries: np.ndarray) -> float:
+    """max |(M M^dag - I)_ik| from M's column-sparse form, with no D x D array.
+
+    Column j adds m_a conj(m_b) at (rows[a, j], rows[b, j]) for each of
+    its r^2 pairs (a, b), and the sums meet on that support. An entry off
+    the support is 0: a deviation of 1 on the diagonal, 0 elsewhere.
+    """
+    dim = rows.shape[1]
+    keys = (rows[:, None] * dim + rows[None]).ravel()
+    vals = (entries[:, None] * entries[None].conj()).ravel()
+    keys, at = np.unique(keys, return_inverse=True)
+    gram = np.bincount(at, vals.real) + 1j * np.bincount(at, vals.imag)
+    diagonal = keys // dim == keys % dim
+    gram[diagonal] -= 1
+    off_support = 1.0 if np.count_nonzero(diagonal) < dim else 0.0
+    return max(float(np.abs(gram).max(initial=0.0)), off_support)
 
 
 def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> UnitaryCheck:
     """Check max |(M M^dag - I)_ij| <= tol.
 
-    A monomial M (``monomial_form``) takes an O(D^2) scan: M M^dag is then
-    diagonal with entries |m_j|^2 for the nonzero m_j of column j, so the
-    deviation is max ||m_j|^2 - 1|, exactly. Any other M takes the product.
+    A column-sparse M (``column_sparse_form``) takes the deviation from the
+    r^2 D products of nonzeros that share a column, O(D^2) with its scan;
+    at r = 1 (a monomial M) they are the diagonal entries |m_j|^2. Any
+    other M takes the product.
     """
     m = _as_complex(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("is_unitary: matrix is not square")
-    parts = monomial_form(m)
+    parts = column_sparse_form(m)
     if parts is not None:
-        dev = float(np.max(np.abs(np.abs(parts[1]) ** 2 - 1)))
+        dev = _sparse_gram_deviation(*parts)
     else:
         g = m @ m.conj().T
         g[np.diag_indices_from(g)] -= 1

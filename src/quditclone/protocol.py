@@ -18,9 +18,12 @@ formulas (``u_enc``, ``v_of_p``, ``u_dec_dense``, ``dec_projector_sum``)
 are oracles only: the tests and ``verify_identities`` use them, no run
 does. They are cheap to build for D = d^(n+1): ``v_of_p`` of a Pauli
 product, a monomial, takes O(D^2), and ``dec_projector_sum`` is one
-product over its d^2 Bell terms. ``verify_identities``'s relay check is
-one contraction over all its samples. Its remaining cost is the D x D
-products of ``is_unitary`` and of the two operator products it checks.
+product over its d^2 Bell terms. ``verify_identities`` forms no D x D
+matrix product: each operator it checks has d nonzeros per column, which
+``is_unitary`` reads its deviation from, and each product it checks has
+a monomial factor (V(P_Z), the SWAP . C head), so ``linalg.product``
+gathers it, O(D^2) each. Its sampled checks are batched over their
+samples, and the relay applies I x C as a gather.
 
 A run orders its wires [A, S_j (j != t).., S_t, N_t, N_j (j != t)..]
 (``_run_register``), so that encryption's wires lead and decryption's
@@ -56,6 +59,7 @@ from .linalg import (
     kron_all,
     max_abs_diff,
     monomial_form,
+    product,
 )
 
 
@@ -96,10 +100,10 @@ def oracle_dim(params: ProtocolParams) -> int:
 def suite_params(d: int, n: int) -> ProtocolParams:
     """Parameters of the identity suite at (d, n), refused above the size caps.
 
-    Besides the d^(n+1)-dimension dense oracles, the suite forms one object
-    of dimension d^3 at every n, the relay check's I x C on three wires; the
-    Bell-basis checks form d^2 x d^2 arrays at most. At n = 1 the d^3 rule
-    is the binding one.
+    Besides the d^(n+1)-dimension dense oracles, the suite works on
+    d^3-amplitude states at every n, the relay check's samples on three
+    wires; the Bell-basis checks and the relay gate C form d^2 x d^2
+    arrays at most. At n = 1 the d^3 rule is the binding one.
     """
     params = ProtocolParams(d, n)
     oracle_dim(params)
@@ -128,19 +132,22 @@ def v_of_p(p: np.ndarray, d: int) -> np.ndarray:
     power is P^d, and the check reads it. A monomial P (``monomial_form``;
     every ``pauli_product`` is one) keeps P^k as a row map and its
     entries, so each power costs O(D) and the whole sum O(D^2), with no
-    D x D array but the result. Any other P takes d D x D products.
+    D x D array but the result; its one scan of P also gives its
+    unitarity, since P P^dag is then diagonal with entries |entries|^2.
+    Any other P takes ``is_unitary`` and d D x D products.
     """
     p = np.asarray(p, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("v_of_p: operator is not square")
-    check = is_unitary(p)
-    if not check:
-        raise ValueError(
-            f"v_of_p: operator is not unitary (deviation {check.max_deviation:.3e})"
-        )
+    parts = monomial_form(p)
+    if parts is None:
+        dev = is_unitary(p).max_deviation
+    else:
+        dev = float(np.max(np.abs(np.abs(parts[1]) ** 2 - 1)))
+    if not dev <= DEFAULT_TOL:
+        raise ValueError(f"v_of_p: operator is not unitary (deviation {dev:.3e})")
     dim = p.shape[0]
     c = cazac.chu(d).values
-    parts = monomial_form(p)
     out = np.zeros((dim, dim), dtype=complex)
     if parts is None:
         pk = np.eye(dim, dtype=complex)
@@ -191,22 +198,24 @@ def u_enc(params: ProtocolParams) -> np.ndarray:
     """Encryption unitary V(P_X) V(P_Z) on wires (A, S_1..S_n)."""
     px = pauli_product("x", params.d, params.n)
     pz = pauli_product("z", params.d, params.n)
-    return v_of_p(px, params.d) @ v_of_p(pz, params.d)
+    return product(v_of_p(px, params.d), v_of_p(pz, params.d))
 
 
 def c_gate(d: int) -> np.ndarray:
     """Two-wire relay gate C on the (share, local) pair.
 
-    C = (sum_c X^{2c} x |c><c|) . (I x F^2): the second wire is index
-    reversed by F^2, then its value doubly shift-controls the first.
-    Together with a SWAP it turns the Bell-projected pair back into a
-    fresh Bell pair while relaying the data state.
+    C = (sum_c X^{2c} x |c><c|) . (I x F^2): F^2 reverses the second
+    wire's index, |c> -> |-c>, and its value then doubly shift-controls
+    the first. So C is the permutation |a, c> -> |a - 2c, -c>, built from
+    that index map with every nonzero exactly 1. Together with a SWAP it
+    turns the Bell-projected pair back into a fresh Bell pair while
+    relaying the data state.
     """
-    f2 = gates.fourier(d)
-    f2 = f2 @ f2
+    _check_dim(d)
     a, c = np.divmod(np.arange(d * d), d)
-    # control permutation |a, c> -> |a + 2c, c>: row (a, c) reads row (a - 2c, c)
-    return np.kron(np.eye(d), f2)[((a - 2 * c) % d) * d + c]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    out[((a - 2 * c) % d) * d + (-c) % d, a * d + c] = 1.0
+    return out
 
 
 def dec_projector_sum(params: ProtocolParams) -> np.ndarray:
@@ -243,7 +252,7 @@ def u_dec_dense(params: ProtocolParams) -> np.ndarray:
     Bell-projected conditional-Weyl sum; the inverse coefficients are
     conjugates, exact since every c_kl has unit modulus.
     """
-    return _dec_head(params) @ dec_projector_sum(params)
+    return product(_dec_head(params), dec_projector_sum(params))
 
 
 def _dec_head(params: ProtocolParams) -> np.ndarray:
@@ -547,21 +556,17 @@ class IdentitySuiteReport:
         }
 
 
-def _random_matrix(rng, d: int) -> np.ndarray:
-    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-
-
 def _check_ricochet(d, rng, samples):
-    """(U x I)|Phi> = (I x U^T)|Phi> for arbitrary U."""
-    bell = gates.bell_amplitudes(d)
-    eye = np.eye(d)
-    worst = 0.0
-    for _ in range(samples):
-        u = _random_matrix(rng, d)
-        lhs = np.kron(u, eye) @ bell
-        rhs = np.kron(eye, u.T) @ bell
-        worst = max(worst, max_abs_diff(lhs, rhs))
-    return worst
+    """(U x I)|Phi> = (I x U^T)|Phi> for arbitrary U.
+
+    With |Phi> as the d x d matrix B, (L x R)|Phi> is L B R^T, so the
+    sides are U B and B U, batched over all samples. Each sample draws
+    d^2 real then d^2 imaginary parts, as one call per part would.
+    """
+    bell = gates.bell_amplitudes(d).reshape(d, d)
+    z = rng.standard_normal((samples, 2, d, d))
+    u = z[:, 0] + 1j * z[:, 1]
+    return float(np.max(np.abs(u @ bell - bell @ u), initial=0.0))
 
 
 def _check_bell_relay(d, rng, samples):
@@ -571,16 +576,17 @@ def _check_bell_relay(d, rng, samples):
     ``standard_normal`` call per part would. For all samples at once,
     sum_w (W_w psi) x (W_w x I)|Phi> is one contraction of the Weyl
     table, the draws and the Bell basis, whose row w is (W_w x I)|Phi>.
+    I x C acts on each sample's (d, d^2) layout as x C^T, a gather
+    through C's monomial form (``product``).
     """
     bell = gates.bell_amplitudes(d)
-    cg = np.kron(np.eye(d), c_gate(d))
     z = rng.standard_normal((samples, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
     psi = v / np.linalg.norm(v, axis=1, keepdims=True)
     lhs = np.einsum(
         "wij,sj,wp->sip", gates.weyl_table(d), psi, gates.bell_basis(d), optimize=True
-    ).reshape(samples, d ** 3)
-    lhs = (lhs / d) @ cg.T
+    ).reshape(samples * d, d * d)
+    lhs = product(lhs / d, c_gate(d).T).reshape(samples, d ** 3)
     rhs = (bell[None, :, None] * psi[:, None, :]).reshape(samples, d ** 3)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
@@ -614,43 +620,45 @@ def _check_gauss_sum(d):
 
 
 def _check_bell_pair_invariance(d):
-    """(X^k Z^-l x X^k Z^l)|Phi> = |Phi> for every exponent pair."""
-    bell = gates.bell_amplitudes(d)
+    """(X^k Z^-l x X^k Z^l)|Phi> = |Phi> for every exponent pair.
+
+    With |Phi> as the d x d matrix B, (L x R)|Phi> is L B R^T, batched
+    over all d^2 pairs; the right factors are the Weyl table in order.
+    """
+    bell = gates.bell_amplitudes(d).reshape(d, d)
     weyl = gates.weyl_table(d)
-    worst = 0.0
-    for k in range(d):
-        for l in range(d):
-            op = np.kron(weyl[gates.weyl_row(d, k, -l)], weyl[gates.weyl_row(d, k, l)])
-            worst = max(worst, max_abs_diff(op @ bell, bell))
-    return worst
+    k, l = np.divmod(np.arange(d * d), d)
+    out = weyl[gates.weyl_row(d, k, -l)] @ bell @ weyl.transpose(0, 2, 1)
+    return float(np.abs(out - bell).max())
 
 
 def _check_partial_trace_product(d, rng, samples):
-    """Tr_B((O1 x I)|Phi><Phi|(O2^dag x I)) = O1 O2^dag / d."""
-    bell = gates.bell_amplitudes(d)
-    eye = np.eye(d)
-    worst = 0.0
-    for _ in range(samples):
-        o1 = _random_matrix(rng, d)
-        o2 = _random_matrix(rng, d)
-        v1 = np.kron(o1, eye) @ bell
-        v2 = np.kron(o2, eye) @ bell
-        # Tr_B |v1><v2|: equate the second wire's row and column index, and sum
-        lhs = np.einsum("abcb->ac", np.outer(v1, v2.conj()).reshape(d, d, d, d))
-        worst = max(worst, max_abs_diff(lhs, o1 @ o2.conj().T / d))
-    return worst
+    """Tr_B((O1 x I)|Phi><Phi|(O2^dag x I)) = O1 O2^dag / d.
+
+    With |Phi> as the d x d matrix B, (O x I)|Phi> is O B and Tr_B of
+    |v1><v2| is V1 V2^dag, so the left side is (O1 B)(O2 B)^dag, batched
+    over all samples. Each sample draws O1's real and imaginary parts,
+    then O2's, as one call per part would.
+    """
+    bell = gates.bell_amplitudes(d).reshape(d, d)
+    z = rng.standard_normal((samples, 2, 2, d, d))
+    o = z[:, :, 0] + 1j * z[:, :, 1]
+    v = o @ bell
+    lhs = v[:, 0] @ v[:, 1].conj().transpose(0, 2, 1)
+    rhs = o[:, 0] @ o[:, 1].conj().transpose(0, 2, 1) / d
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def _check_encryption_unitary(params):
     d, n = params.d, params.n
     vx, vz = (v_of_p(pauli_product(axis, d, n), d) for axis in "xz")
     # vx @ vz is u_enc, built from the same two factors
-    return max(is_unitary(m).max_deviation for m in (vx, vz, vx @ vz))
+    return max(is_unitary(m).max_deviation for m in (vx, vz, product(vx, vz)))
 
 
 def _check_decryption_unitary(params):
     a = dec_projector_sum(params)
-    return max(is_unitary(m).max_deviation for m in (a, _dec_head(params) @ a))
+    return max(is_unitary(m).max_deviation for m in (a, product(_dec_head(params), a)))
 
 
 def verify_identities(

@@ -1,6 +1,8 @@
 """Shared test helpers: seeded random draws, dense reference states and gates,
-and the state oracles (product states, operator embedding, density matrices,
-partial traces, overlaps) that the package's in-place code is checked against."""
+the state oracles (product states, operator embedding, density matrices,
+partial traces, overlaps) that the package's in-place code is checked against,
+and the per-sample loops and dense products that its batched and sparse
+identity checks are checked against."""
 
 from dataclasses import InitVar, dataclass
 
@@ -220,6 +222,53 @@ def dec_projector_sum_loop(d: int, n: int) -> np.ndarray:
             tail = kron_all([corr] * (n - 1)) if n >= 2 else np.eye(1, dtype=complex)
             out += np.conj(c[k] * c[l]) * np.kron(proj, tail)
     return out
+
+
+def gram_deviation(m: np.ndarray) -> float:
+    """Reference unitarity deviation: max |(M M^dag - I)_ij| from the dense product."""
+    g = m @ m.conj().T
+    return float(np.max(np.abs(g - np.eye(len(m)))))
+
+
+def ricochet_loop(d: int, rng, samples: int) -> float:
+    """Reference ricochet check: per sample, (U x I)|Phi> against (I x U^T)|Phi> as Kronecker products."""
+    bell = gates.bell_amplitudes(d)
+    eye = np.eye(d)
+    worst = 0.0
+    for _ in range(samples):
+        u = random_matrix(rng, d)
+        lhs = np.kron(u, eye) @ bell
+        rhs = np.kron(eye, u.T) @ bell
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def partial_trace_product_loop(d: int, rng, samples: int) -> float:
+    """Reference partial-trace check: per sample, Tr_B |v1><v2| as a traced outer product."""
+    bell = gates.bell_amplitudes(d)
+    eye = np.eye(d)
+    worst = 0.0
+    for _ in range(samples):
+        o1 = random_matrix(rng, d)
+        o2 = random_matrix(rng, d)
+        v1 = np.kron(o1, eye) @ bell
+        v2 = np.kron(o2, eye) @ bell
+        # Tr_B |v1><v2|: equate the second wire's row and column index, and sum
+        lhs = np.einsum("abcb->ac", np.outer(v1, v2.conj()).reshape(d, d, d, d))
+        worst = max(worst, float(np.max(np.abs(lhs - o1 @ o2.conj().T / d))))
+    return worst
+
+
+def bell_pair_invariance_loop(d: int) -> float:
+    """Reference pair-invariance check: per (k, l), the Kronecker product applied to |Phi>."""
+    bell = gates.bell_amplitudes(d)
+    weyl = gates.weyl_table(d)
+    worst = 0.0
+    for k in range(d):
+        for l in range(d):
+            op = np.kron(weyl[gates.weyl_row(d, k, -l)], weyl[gates.weyl_row(d, k, l)])
+            worst = max(worst, float(np.max(np.abs(op @ bell - bell))))
+    return worst
 
 
 def bell_relay_loop(d: int, rng, samples: int) -> float:

@@ -25,7 +25,7 @@ from quditclone import (
     phase_z,
     swap_gate,
 )
-from quditclone.linalg import monomial_form
+from quditclone.linalg import column_sparse_form, monomial_form, product
 from quditclone.cazac import chu
 from quditclone.gates import bell_amplitudes
 
@@ -226,6 +226,33 @@ def test_monomial_form_reads_back_the_matrix():
         assert np.array_equal(back, mat)
     for mat in (np.diag([1.0, 0.0]), fourier(3), np.ones((2, 2))):
         assert monomial_form(mat) is None
+
+
+def test_column_sparse_form_reads_back_the_matrix():
+    rng = np.random.default_rng(14)
+    perm = rng.permutation(27)
+    m = np.zeros((27, 27), dtype=complex)
+    for k in range(3):  # three nonzeros in every column, at distinct rows
+        m[(perm + 5 * k) % 27, np.arange(27)] = rng.standard_normal(27) + 1j
+    for mat, r in ((m, 3), (np.kron(fourier(2), np.eye(2)), 2), (np.diag([2.0, 0.5]), 1)):
+        rows, entries = column_sparse_form(mat)
+        assert rows.shape == entries.shape == (r, len(mat))
+        assert (np.diff(rows, axis=0) > 0).all()
+        back = np.zeros_like(mat, dtype=complex)
+        back[rows, np.arange(len(mat))] = entries
+        assert np.array_equal(back, mat)
+    # unequal counts, and r^2 > D
+    for mat in (np.diag([1.0, 0.0]), np.triu(np.ones((3, 3))), fourier(3), np.ones((4, 4))):
+        assert column_sparse_form(mat) is None
+
+
+def test_product_gathers_through_a_monomial_factor():
+    rng = np.random.default_rng(15)
+    dense = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
+    mono = np.eye(27)[rng.permutation(27)] * np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
+    wide = rng.standard_normal((6, 27)) + 1j
+    for a, b in ((dense, mono), (mono, dense), (mono, mono), (dense, dense), (wide, mono)):
+        assert max_abs_diff(product(a, b), a @ b) <= 1e-14
 
 
 def test_overlap_basics():

@@ -1,12 +1,13 @@
 """Property tests: both decryption paths of a run (the factored and the
 paper-literal circuit) agree on every report, a run's in-place scores agree
-with the reduced-density and product-state oracles, and the circuit
-evaluator agrees with a product of dense per-gate matrices."""
+with the reduced-density and product-state oracles, the circuit evaluator
+agrees with a product of dense per-gate matrices, and ``is_unitary`` on a
+column-sparse matrix agrees with the dense product M M^dag."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
-from conftest import controlled_power, overlap, product_state, reduced_density
+from conftest import controlled_power, gram_deviation, overlap, product_state, reduced_density
 from quditclone import (
     Circuit,
     GateOp,
@@ -21,6 +22,7 @@ from quditclone import (
     circuit_to_unitary,
     decryption_scores,
     fourier,
+    is_unitary,
     kron,
     kron_all,
     max_abs_diff,
@@ -34,6 +36,7 @@ from quditclone import (
 )
 from quditclone.circuits import KINDS
 from quditclone.gates import bell_amplitudes
+from quditclone.linalg import column_sparse_form
 
 
 @st.composite
@@ -202,3 +205,38 @@ def test_apply_circuit_matches_dense_gate_product(case):
     assert max_abs_diff(got.amplitudes, want @ state.amplitudes) < 1e-12
     same_order = Circuit(reg, circuit.ops)
     assert max_abs_diff(circuit_to_unitary(same_order), want) < 1e-12
+
+
+@st.composite
+def layered_matrices(draw):
+    """A sum of r = 1..4 layers, each a row map of the columns times phases.
+
+    A layer's row map is a permutation or, leaving some rows empty, a random
+    map; some layers are scaled off unit modulus; some matrices lose a few
+    entries, so that their columns hold unequal counts.
+    """
+    dim = draw(st.sampled_from([4, 9, 16, 25, 36, 64]))
+    r = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.zeros((dim, dim), dtype=complex)
+    for _ in range(r):
+        rows = rng.permutation(dim) if draw(st.booleans()) else rng.integers(0, dim, dim)
+        scale = draw(st.sampled_from([1.0, 1.0, 0.5, 1.5, 1.0 + 1e-6]))
+        m[rows, np.arange(dim)] += scale / np.sqrt(r) * np.exp(2j * np.pi * rng.random(dim))
+    if draw(st.booleans()):
+        m[rng.integers(0, dim, 3), rng.integers(0, dim, 3)] = 0
+    return m
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(layered_matrices())
+def test_is_unitary_sparse_path_matches_dense_product(m):
+    # equal column counts r with r^2 <= D take the pairwise products, any
+    # other matrix the GEMM; either way the deviation is the dense one
+    counts = (m != 0).sum(0)
+    sparse = bool((counts == counts[0]).all() and counts[0] ** 2 <= len(m))
+    assert (column_sparse_form(m) is not None) == sparse
+    event(f"sparse path: {sparse}")
+    check, want = is_unitary(m), gram_deviation(m)
+    assert abs(check.max_deviation - want) <= 1e-14, (check.max_deviation, want)
+    assert bool(check) == (want <= check.tol)

@@ -6,14 +6,17 @@ import pytest
 from conftest import (
     DensityMatrix,
     basis_state,
+    bell_pair_invariance_loop,
     bell_relay_loop,
     dec_projector_sum_loop,
     embed_apply,
     partial_trace,
+    partial_trace_product_loop,
     product_state,
     random_matrix,
     random_unit_vector,
     random_unitary,
+    ricochet_loop,
 )
 from quditclone import (
     ProtocolParams,
@@ -46,8 +49,16 @@ from quditclone import (
 )
 from quditclone.cazac import chu
 from quditclone.gates import bell_amplitudes, bell_basis, weyl_table
-from quditclone.linalg import monomial_form
-from quditclone.protocol import _check_bell_basis_orthonormal, _check_projector_algebra
+from quditclone.linalg import column_sparse_form, monomial_form, product
+from quditclone.protocol import (
+    _check_bell_basis_orthonormal,
+    _check_bell_pair_invariance,
+    _check_partial_trace_product,
+    _check_projector_algebra,
+    _check_ricochet,
+    _dec_head,
+    suite_params,
+)
 
 TOL = 1e-10
 
@@ -231,7 +242,8 @@ def test_c_gate_unitary():
 
 
 def test_c_gate_matches_paper_product():
-    # C = (sum_c X^{2c} x |c><c|) . (I x F^2), multiplied out as written
+    # C = (sum_c X^{2c} x |c><c|) . (I x F^2), multiplied out as written;
+    # the product carries the roundoff of F @ F, c_gate the exact permutation
     for d in range(2, 10):
         f2 = fourier(d) @ fourier(d)
         ctrl = np.zeros((d * d, d * d), dtype=complex)
@@ -239,7 +251,17 @@ def test_c_gate_matches_paper_product():
             proj = np.zeros((d, d), dtype=complex)
             proj[c, c] = 1.0
             ctrl += np.kron(x_power(d, 2 * c), proj)
-        assert np.array_equal(c_gate(d), ctrl @ np.kron(np.eye(d), f2)), d
+        assert max_abs_diff(c_gate(d), ctrl @ np.kron(np.eye(d), f2)) <= 1e-14, d
+
+
+def test_c_gate_is_an_exact_permutation():
+    # |a, c> -> |a - 2c, -c> with every nonzero exactly 1, so the suite's
+    # products with it stay gathers
+    for d in range(2, 17):
+        rows, entries = monomial_form(c_gate(d))
+        a, c = np.divmod(np.arange(d * d), d)
+        assert np.array_equal(rows, ((a - 2 * c) % d) * d + (-c) % d), d
+        assert np.array_equal(entries, np.ones(d * d)), d
 
 
 def test_c_gate_d2_is_identity():
@@ -611,7 +633,7 @@ def test_verify_identities_refuses_cubic_suite_objects(monkeypatch):
     def check_ran(*args):
         raise AssertionError("an identity check ran")
 
-    # at n = 1 the oracles are 17^2-dim, but three checks form 17^3-dim objects
+    # at n = 1 the oracles are 17^2-dim, but the relay check works on 17^3-amplitude states
     monkeypatch.setattr(protocol, "_check_ricochet", check_ran)
     with pytest.raises(SizeCapError, match="identity suite"):
         verify_identities(17, n=1)
@@ -675,6 +697,76 @@ def test_bell_relay_draws_the_per_sample_loop_samples(monkeypatch):
     rng = np.random.default_rng(0)
     assert real(3, rng, 0) == 0.0
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_batched_checks_match_their_per_sample_loops(monkeypatch):
+    # each batched check gives its loop's deviation and leaves the generator
+    # where the loop does, so every later check of the suite sees the same draws
+    from quditclone import gates
+
+    def agree(tol):
+        for d in (2, 3, 5, 8):
+            got, want = _check_bell_pair_invariance(d), bell_pair_invariance_loop(d)
+            assert abs(got - want) <= tol, d
+            for check, loop in ((_check_ricochet, ricochet_loop),
+                                (_check_partial_trace_product, partial_trace_product_loop)):
+                for seed, samples in ((0, 50), (5, 7), (0, 0)):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got, want = check(d, rng, samples), loop(d, ref, samples)
+                    assert abs(got - want) <= tol, (check.__name__, d, seed)
+                    assert rng.bit_generator.state == ref.bit_generator.state, (check.__name__, d)
+
+    agree(1e-14)
+    # on a state that is not maximally entangled the deviations are O(1) and
+    # set by the draws, so the two agree only if each sample draws the same
+    # operators and the contraction pairs the same factors
+    rng = np.random.default_rng(43)
+    states = {d: random_unit_vector(rng, d * d) for d in (2, 3, 5, 8)}
+    monkeypatch.setattr(gates, "bell_amplitudes", lambda d: states[d])
+    assert ricochet_loop(3, np.random.default_rng(0), 5) > 0.1
+    agree(1e-12)
+
+
+def test_bell_relay_forms_no_cubic_operator():
+    # I x C reaches the samples as a gather through C's monomial form; the
+    # dense d^3 x d^3 operator was 256 MiB at d = 16
+    import tracemalloc
+
+    from quditclone import protocol
+
+    protocol._check_bell_relay(16, np.random.default_rng(0), 5)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        worst = protocol._check_bell_relay(16, np.random.default_rng(0), 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert worst < TOL
+    assert peak <= 8 * 2 ** 20, peak / 2 ** 20
+
+
+def test_suite_operators_take_the_structured_path():
+    # every operator the suite checks has at most d nonzeros in each column
+    # and every product it forms has a monomial factor, so no check falls
+    # back to a D x D product; a roundoff nonzero would fail here. (8, 3),
+    # the one pair at the operator cap, is left out: its five 4096-dim
+    # operators peak at 1.2 GB, and the same builders run at (8, 2) and (7, 3)
+    def count(m):
+        parts = column_sparse_form(m)
+        return None if parts is None else len(parts[0])
+
+    for d in range(2, 9):
+        for n in range(1, 4):
+            if (d, n) == (8, 3):
+                continue
+            params = suite_params(d, n)
+            vx, vz = (v_of_p(pauli_product(axis, d, n), d) for axis in "xz")
+            assert monomial_form(vz) is not None, (d, n)
+            assert count(vx) == count(product(vx, vz)) == d, (d, n)
+            del vx, vz
+            head, a = _dec_head(params), dec_projector_sum(params)
+            assert monomial_form(head) is not None, (d, n)
+            assert count(a) == count(product(head, a)) == d, (d, n)
 
 
 def test_u_enc_is_invariant_under_wire_permutations():
