@@ -69,7 +69,6 @@ from .circuits import (
     build_vpx_circuit,
     build_vpz_circuit,
     circuit_to_unitary,
-    counts_csv,
     counts_table,
     gate_counts,
     q_entries,

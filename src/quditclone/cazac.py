@@ -76,8 +76,8 @@ def autocorr2d(d: int) -> np.ndarray:
     cyclic index shifts; the grid is a delta at (0, 0). Since
     c_kl = c(k) c(l), the sum factors into |a(m) a(n)| with a the 1D
     periodic autocorrelation of the Chu sequence. The grid holds d^2
-    entries and both CLI formats list one row per entry, so it takes the
-    state-size rule: d <= 2048.
+    entries and the ``autocorr`` command lists one row per entry, so it
+    takes the state-size rule: d <= 2048.
     """
     _check_dim(d)
     _check_state_size(d, 2, "autocorr grid")
@@ -103,12 +103,3 @@ def gauss_sum(d: int, m: int) -> complex:
     )
     return complex(np.sum(terms))
 
-
-def autocorr_csv(d: int) -> str:
-    """CSV of the autocorr2d grid: header m,n,magnitude, one row per shift."""
-    grid = autocorr2d(d)
-    lines = ["m,n,magnitude"]
-    for m in range(d):
-        for n in range(d):
-            lines.append(f"{m},{n},{grid[m, n]!s}")
-    return "\n".join(lines) + "\n"

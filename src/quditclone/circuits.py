@@ -7,19 +7,21 @@ plus optional control wires, each with the level on which the base
 gate fires (a controlled power instead fires base^j on every control
 level j); that is how the level-controlled gates of the decryption
 circuit are expressed; the Fourier gates take no controls.
-``apply_circuit`` runs a circuit on a state vector, which is how the
-protocol executes; ``circuit_to_unitary`` expands one into a dense
-matrix for comparison with the paper's operator formulas. Both evaluate
-the same way, in two pass shapes over the whole tensor: every gate kind
-except the two Fourier gates is monomial (a permutation of basis states
-times phases), so each maximal run of such gates is one gather and one
-phase multiply over its span, the wires from the first it touches to the
-last; each maximal stretch of uncontrolled gates on one wire that holds
-a Fourier gate is one d x d product on that wire. A circuit is compiled
-into these passes on its first evaluation and keeps them, read-only, so
-evaluating it again only executes them. A gather table has d^k entries
-for the k wires of its span, at most d^(n+1) for the protocol circuits,
-far below the d^(2n+1)-amplitude state they run on.
+``apply_circuit`` runs a circuit on a copy of a state vector;
+``run_protocol`` executes the same passes with ``_apply_ops`` on the
+run's own buffer; ``circuit_to_unitary`` expands a circuit into a dense
+matrix for comparison with the paper's operator formulas. All three
+evaluate the same way, in two pass shapes over the whole tensor: every
+gate kind except the two Fourier gates is monomial (a permutation of
+basis states times phases), so each maximal run of such gates is one
+gather and one phase multiply over its span, the wires from the first it
+touches to the last; each maximal stretch of uncontrolled gates on one
+wire that holds a Fourier gate is one d x d product on that wire. A
+circuit is compiled into these passes on its first evaluation and keeps
+them, read-only, so evaluating it again only executes them. A gather
+table has d^k entries for the k wires of its span, at most d^(n+1) for
+the protocol circuits, far below the d^(2n+1)-amplitude state they run
+on.
 
 Encryption has two forms of the same operator V(P_X) V(P_Z): the
 paper-literal ``build_vpz_circuit`` and ``build_vpx_circuit``, whose
@@ -625,9 +627,8 @@ def build_udec_factored(params: "ProtocolParams") -> Circuit:
     return Circuit(Register(d, (s, nt, *locals_)), tuple(ops))
 
 
-@dataclass(frozen=True)
-class GateCounts:
-    """Closed-form one- and two-qudit gate counts for one (d, n)."""
+class GateCounts(NamedTuple):
+    """Closed-form one- and two-qudit gate counts for one (d, n), a row of ``counts``."""
 
     d: int
     n: int
@@ -654,19 +655,8 @@ def gate_counts(d: int, n: int) -> GateCounts:
     return GateCounts(d, n, ne1q, ne2q, nd1q, nd2q)
 
 
-DEFAULT_D_SWEEP = tuple(range(2, 11))
-DEFAULT_N_SWEEP = (2, 5, 10)
-
-
-def counts_table(d_values=DEFAULT_D_SWEEP, n_values=DEFAULT_N_SWEEP) -> list[GateCounts]:
+def counts_table(d_values, n_values) -> list[GateCounts]:
     return [gate_counts(d, n) for d in d_values for n in n_values]
-
-
-def counts_csv(d_values=DEFAULT_D_SWEEP, n_values=DEFAULT_N_SWEEP) -> str:
-    lines = ["d,n,NE1Q,NE2Q,ND1Q,ND2Q"]
-    for c in counts_table(d_values, n_values):
-        lines.append(f"{c.d},{c.n},{c.ne1q},{c.ne2q},{c.nd1q},{c.nd2q}")
-    return "\n".join(lines) + "\n"
 
 
 def tally_gates(circuit: Circuit) -> dict:

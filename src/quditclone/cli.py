@@ -4,17 +4,26 @@ Exit codes: 0 success, 1 verification failure, 2 configuration,
 size-cap or out-of-memory error. Reports are deterministic for a fixed
 flag set and seed; wall-clock timings are only emitted when --timings
 is passed, since they would break byte-identical output.
+
+Only this module turns results into bytes. Each command computes and
+checks everything, then hands one payload to ``_write``, so a refused
+request writes nothing. The ``counts`` and ``autocorr`` tables stream
+their rows, a batch at a time, in either format.
 """
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
 
 from . import __version__, circuits, protocol
-from .cazac import autocorr_csv, autocorr2d
+from .cazac import autocorr2d
 from .linalg import DEFAULT_TOL, SizeCapError
+
+_ROWS_PER_WRITE = 256  # rows formatted per write: no string holds the whole table
 
 
 def _parse_range(text: str) -> range:
@@ -39,16 +48,50 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"--tol must be a finite number >= 0, got {tol}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+def _csv_pieces(fields, batches):
+    line = ",".join(["%s"] * len(fields)) + "\n"  # str() of each value
+    yield ",".join(fields) + "\n"
+    for batch in batches:
+        yield "".join(line % row for row in batch)
+
+
+def _json_pieces(payload: dict, fields, batches):
+    """json.dumps(payload, indent=2, sort_keys=True) + newline, each row a dict, in pieces."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    head, tail = encoder.encode({**payload, "rows": []}).split('"rows": []')
+    yield head + '"rows": ['
+    sep = "\n"
+    for batch in batches:
+        # a batch encoded as a top-level list, then indented two more spaces
+        # (JSON has no other newlines) to sit under "rows"
+        text = encoder.encode([dict(zip(fields, row)) for row in batch])
+        yield sep + "  " + text[2:-2].replace("\n", "\n  ")
+        sep = ",\n"
+    yield ("]" if sep == "\n" else "\n  ]") + tail + "\n"
+
+
+def _write(payload: dict, args) -> None:
+    """Write a command's payload, with the version added, to --out or stdout.
+
+    A payload is one indented JSON text. A table's payload holds its
+    field names and an iterator of row tuples under "rows"; it is
+    written as CSV (a header, a line per row) under ``--format csv``, else
+    as the JSON of the payload with each row a dict. stdout is looked up
+    here, so a caller's redirection holds.
+    """
+    payload = {**payload, "version": __version__}
+    if "rows" not in payload:
+        pieces = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", out)
+        fields, values = payload["rows"]
+        batches = iter(lambda: list(itertools.islice(values, _ROWS_PER_WRITE)), [])
+        if args.format == "csv":
+            pieces = _csv_pieces(fields, batches)
+        else:
+            pieces = _json_pieces(payload, fields, batches)
+    with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as fh:
+        for piece in pieces:
+            fh.write(piece)
 
 
 def cmd_verify(args) -> int:
@@ -56,23 +99,15 @@ def cmd_verify(args) -> int:
     d_values = _parse_range(args.d_range)
     for d in d_values:  # refuse the whole range before any check runs
         protocol.suite_params(d, args.n)
-    results = []
-    for d in d_values:
-        report = protocol.verify_identities(
-            d, n=args.n, seed=args.seed, tol=args.tol
-        )
-        results.append(report.to_dict())
+    results = [
+        protocol.verify_identities(d, n=args.n, seed=args.seed, tol=args.tol).to_dict()
+        for d in d_values
+    ]
     passed = all(r["passed"] for r in results)
-    _emit_json(
-        {
-            "version": __version__,
-            "tolerance": args.tol,
-            "n": args.n,
-            "seed": args.seed,
-            "results": results,
-            "passed": passed,
-        },
-        args.out,
+    _write(
+        {"tolerance": args.tol, "n": args.n, "seed": args.seed,
+         "results": results, "passed": passed},
+        args,
     )
     return 0 if passed else 1
 
@@ -81,46 +116,29 @@ def cmd_run(args) -> int:
     _check_tol(args.tol)
     params = protocol.ProtocolParams(args.d, args.n, target_party=args.target)
     report = protocol.run_protocol(
-        params,
-        seed=args.seed,
-        tol=args.tol,
-        decrypt_with_circuit=args.circuit,
+        params, seed=args.seed, tol=args.tol, decrypt_with_circuit=args.circuit
     )
-    payload = report.to_dict(include_timings=args.timings)
-    payload["version"] = __version__
-    _emit_json(payload, args.out)
+    payload = report.to_dict()
+    if args.timings:
+        payload["timings_ms"] = report.timings_ms
+    _write(payload, args)
     return 0 if report.passed else 1
 
 
 def cmd_counts(args) -> int:
-    d_values = _parse_range(args.d_range)
-    n_values = _parse_set(args.n_set)
-    if args.format == "csv":
-        _emit(circuits.counts_csv(d_values, n_values), args.out)
-    else:
-        rows = [
-            {
-                "d": c.d, "n": c.n,
-                "NE1Q": c.ne1q, "NE2Q": c.ne2q,
-                "ND1Q": c.nd1q, "ND2Q": c.nd2q,
-            }
-            for c in circuits.counts_table(d_values, n_values)
-        ]
-        _emit_json({"version": __version__, "rows": rows}, args.out)
+    table = circuits.counts_table(_parse_range(args.d_range), _parse_set(args.n_set))
+    _write({"rows": (("d", "n", "NE1Q", "NE2Q", "ND1Q", "ND2Q"), iter(table))}, args)
     return 0
 
 
 def cmd_autocorr(args) -> int:
-    if args.format == "csv":
-        _emit(autocorr_csv(args.d), args.out)
-    else:
-        grid = autocorr2d(args.d)
-        rows = [
-            {"m": m, "n": n, "magnitude": float(grid[m, n])}
-            for m in range(args.d)
-            for n in range(args.d)
-        ]
-        _emit_json({"version": __version__, "d": args.d, "rows": rows}, args.out)
+    grid = autocorr2d(args.d)
+    values = (
+        (m, n, magnitude)
+        for m, line in enumerate(grid)
+        for n, magnitude in enumerate(line.tolist())
+    )
+    _write({"d": args.d, "rows": (("m", "n", "magnitude"), values)}, args)
     return 0
 
 
@@ -134,16 +152,15 @@ _BUILDERS = {
 def cmd_circuit_dump(args) -> int:
     # a dump is refused at any (d, n) that a run cannot hold
     circ = _BUILDERS[args.builder](protocol.ProtocolParams(args.d, args.n))
-    _emit_json(
+    _write(
         {
-            "version": __version__,
             "builder": args.builder,
             "d": args.d,
             "n": args.n,
             "register": {"d": circ.register.d, "wires": list(circ.register.wires)},
             "ops": [op.to_dict() for op in circ.ops],
         },
-        args.out,
+        args,
     )
     return 0
 

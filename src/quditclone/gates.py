@@ -41,8 +41,8 @@ def x_power(d: int, k: int) -> np.ndarray:
     """X^k with the exponent reduced mod d."""
     _check_dim(d)
     m = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        m[(j + k) % d, j] = 1.0
+    j = np.arange(d)
+    m[(j + k) % d, j] = 1.0
     return m
 
 

@@ -192,19 +192,22 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A @ B, as a gather and scale in O(D^2) when either factor is monomial.
 
     With B|j> = e_j |r_j>, column j of A B is e_j times column r_j of A;
-    with A|j> = e_j |r_j>, row r_j of A B is e_j times row j of B. Any
-    other pair takes the product.
+    with A|j> = e_j |r_j>, row r_j of A B is e_j times row j of B. The
+    gathered copy is scaled in place, so it is the one D x D array made.
+    Any other pair takes the product.
     """
     parts = monomial_form(b)
     if parts is not None:
         rows, entries = parts
-        return a[:, rows] * entries
+        out = a[:, rows].astype(np.result_type(a, b), copy=False)
+        return np.multiply(out, entries, out=out)
     parts = monomial_form(a)
     if parts is not None:
         rows, entries = parts
-        out = np.empty(b.shape, dtype=np.result_type(a, b))
-        out[rows] = entries[:, None] * b
-        return out
+        inverse = np.empty_like(rows)
+        inverse[rows] = np.arange(len(rows))
+        out = b[inverse].astype(np.result_type(a, b), copy=False)
+        return np.multiply(entries[inverse, None], out, out=out)
     return a @ b
 
 

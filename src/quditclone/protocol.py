@@ -288,8 +288,9 @@ class ProtocolReport:
     def passed(self) -> bool:
         return self.secrecy_ok and self.decryption_ok
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """Every field but the wall-clock ``timings_ms``, so a seed fixes the result."""
+        return {
             "d": self.d,
             "n": self.n,
             "seed": self.seed,
@@ -304,9 +305,6 @@ class ProtocolReport:
             "bell_residuals": self.bell_residuals,
             "passed": self.passed,
         }
-        if include_timings:
-            out["timings_ms"] = self.timings_ms
-        return out
 
 
 def random_state(d: int, seed: int | None) -> StateVector:

@@ -9,7 +9,7 @@ from quditclone import (
     periodic_autocorr,
     zadoff_chu,
 )
-from quditclone.cazac import ChuSequence, autocorr_csv
+from quditclone.cazac import ChuSequence
 
 TOL = 1e-10
 
@@ -131,14 +131,6 @@ def test_sequence_invariants_enforced():
         ChuSequence(3, 1, 0, np.array([1.0, 2.0, 1.0]))
     with pytest.raises(ValueError):
         ChuSequence(3, 1, 0, np.ones(3, dtype=complex))
-
-
-def test_autocorr_csv_shape():
-    text = autocorr_csv(3)
-    lines = text.strip().split("\n")
-    assert lines[0] == "m,n,magnitude"
-    assert len(lines) == 10
-    assert lines[1].startswith("0,0,1.0")
 
 
 def test_autocorr2d_takes_the_state_cap(monkeypatch):

@@ -20,7 +20,6 @@ from quditclone import (
     build_vpx_circuit,
     build_vpz_circuit,
     circuit_to_unitary,
-    counts_csv,
     counts_table,
     fourier,
     gate_counts,
@@ -537,18 +536,9 @@ def test_two_qudit_encryption_count_ignores_dimension():
 
 
 def test_counts_table_default_sweep():
-    rows = counts_table()
+    rows = counts_table(range(2, 11), (2, 5, 10))
     assert len(rows) == 27
     assert all(r.nd1q >= r.ne1q for r in rows)
-
-
-def test_counts_csv_format():
-    text = counts_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "d,n,NE1Q,NE2Q,ND1Q,ND2Q"
-    assert len(lines) == 28
-    assert "3,2,8,8,56,393" in lines
-    assert text.endswith("\n")
 
 
 def test_gate_counts_validation():

@@ -285,6 +285,125 @@ def test_autocorr_refuses_a_grid_over_the_state_cap(capsys):
     assert peak < 2 ** 20
 
 
+def _one_shot_table(command, fmt, argv):
+    """A table as one string, by the formulas the streamed writer replaced."""
+    from quditclone import autocorr2d, gate_counts
+
+    if command == "counts":
+        d_range = argv[argv.index("--d-range") + 1] if "--d-range" in argv else "2..10"
+        lo, _, hi = d_range.partition("..")
+        n_set = argv[argv.index("--n-set") + 1] if "--n-set" in argv else "2,5,10"
+        fields = ("d", "n", "NE1Q", "NE2Q", "ND1Q", "ND2Q")
+        counts = [gate_counts(d, int(n)) for d in range(int(lo), int(hi) + 1)
+                  for n in n_set.split(",")]
+        rows = [(c.d, c.n, c.ne1q, c.ne2q, c.nd1q, c.nd2q) for c in counts]
+        extra, json_rows = {}, rows
+    else:
+        d = int(argv[argv.index("--d") + 1])
+        grid = autocorr2d(d)
+        fields = ("m", "n", "magnitude")
+        rows = [(m, n, grid[m, n]) for m in range(d) for n in range(d)]
+        extra, json_rows = {"d": d}, [(m, n, float(x)) for m, n, x in rows]
+    if fmt == "csv":
+        lines = [",".join(fields)] + [",".join(str(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = {
+        "version": quditclone.__version__,
+        **extra,
+        "rows": [dict(zip(fields, row)) for row in json_rows],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+TABLES = [
+    ("counts",),
+    ("counts", "--d-range", "2..3", "--n-set", "2"),
+    ("autocorr", "--d", "2"),
+    ("autocorr", "--d", "3"),
+    ("autocorr", "--d", "9"),
+    ("autocorr", "--d", "96"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", TABLES, ids=" ".join)
+def test_streamed_tables_equal_the_one_shot_text(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _one_shot_table(argv[0], fmt, argv)
+
+
+def test_autocorr_csv_peak_row(capsys):
+    code, out, _ = run_cli(capsys, "autocorr", "--d", "3")
+    lines = out.split("\n")
+    assert code == 0 and lines[-1] == ""
+    assert lines[0] == "m,n,magnitude"
+    assert len(lines[:-1]) == 10
+    assert lines[1] == "0,0,1.0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--d-range", "2..3"),
+    ("verify", "--d-range", "2", "--tol", "1e-30"),
+    ("run", "--d", "3", "--n", "2", "--seed", "7"),
+    ("run", "--d", "2", "--n", "2", "--circuit"),
+    ("counts",),
+    ("counts", "--format", "json"),
+    ("autocorr", "--d", "9"),
+    ("autocorr", "--d", "9", "--format", "json"),
+    ("circuit-dump", "udec", "--d", "3", "--n", "2"),
+], ids=" ".join)
+def test_out_file_holds_the_stdout_bytes(tmp_path, argv):
+    # stdout is looked up when written, so a redirection by the caller holds
+    import contextlib
+    import io
+
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(list(argv))
+    out_file = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()) as unused:
+        assert main([*argv, "--out", str(out_file)]) == code
+    assert unused.getvalue() == ""
+    assert out_file.read_bytes() == stdout.getvalue().encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ("autocorr", "--d", "2049"),
+    ("autocorr", "--d", "2049", "--format", "json"),
+    ("counts", "--n-set", ","),
+    ("counts", "--d-range", "4096..4097"),
+    ("verify", "--d-range", "2", "--tol", "-1"),
+], ids=" ".join)
+def test_a_refused_request_writes_nothing(tmp_path, capsys, argv):
+    out_file = tmp_path / "out"
+    for extra in ((), ("--out", str(out_file))):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 2 and out == "" and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_autocorr_streams_its_grid(tmp_path, fmt):
+    # no step holds the d^2 rows or the whole text: the traced peak stays
+    # within 64 bytes per grid entry (the grid itself takes 8)
+    import tracemalloc
+
+    d, out_file = 128, tmp_path / "grid"
+    main(["autocorr", "--d", "2", "--format", fmt, "--out", str(out_file)])  # lazy set-up
+    tracemalloc.start()
+    try:
+        code = main(["autocorr", "--d", str(d), "--format", fmt, "--out", str(out_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 64 * d * d
+    text = out_file.read_text()
+    rows = text.count("\n") - 1 if fmt == "csv" else len(json.loads(text)["rows"])
+    assert rows == d * d
+
+
 def test_circuit_dump(capsys):
     code, out, _ = run_cli(capsys, "circuit-dump", "udec", "--d", "2", "--n", "2")
     assert code == 0
@@ -303,9 +422,12 @@ def test_bad_range_is_config_error(capsys):
 
 
 def test_unwritable_output_is_config_error(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "counts", "--out", str(tmp_path))
-    assert code == 2
-    assert "error" in err
+    for argv in (("counts",), ("autocorr", "--d", "3", "--format", "json"),
+                 ("run", "--d", "2", "--n", "2")):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_one_parser_serves_every_call(capsys):

@@ -44,6 +44,14 @@ def test_adjoint_is_inverse_power():
         assert max_abs_diff(phase_z(d).conj().T, z_power(d, d - 1)) < 1e-12
 
 
+def test_x_power_is_the_shifted_identity():
+    # exact 0/1 entries, the exponent reduced mod d
+    for d in (2, 3, 7):
+        for k in (-d - 1, -1, 0, 1, d, 2 * d + 3):
+            want = np.roll(np.eye(d, dtype=complex), k, axis=0)
+            assert np.array_equal(x_power(d, k), want) and x_power(d, k).dtype == complex
+
+
 def test_phase_z_d2_and_eigenphase():
     assert max_abs_diff(phase_z(2), np.diag([1, -1])) < 1e-15
     out = phase_z(3) @ ket(3, 1).amplitudes

@@ -255,6 +255,30 @@ def test_product_gathers_through_a_monomial_factor():
         assert max_abs_diff(product(a, b), a @ b) <= 1e-14
 
 
+def test_product_gathers_bit_identically_into_one_array():
+    # each monomial side gathers one copy and scales it in place, with the
+    # operands in the order of the scaled product, so every bit is kept
+    import tracemalloc
+
+    rng = np.random.default_rng(16)
+    dim = 256
+    dense = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    mono = np.eye(dim)[rng.permutation(dim)] * np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+    rows, entries = monomial_form(mono)
+    assert np.array_equal(product(dense, mono), dense[:, rows] * entries)
+    want = np.empty_like(dense)
+    want[rows] = entries[:, None] * dense
+    assert np.array_equal(product(mono, dense), want)
+    for a, b in ((dense, mono), (mono, dense)):
+        tracemalloc.start()
+        try:
+            product(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * dense.nbytes
+
+
 def test_overlap_basics():
     rng = np.random.default_rng(8)
     reg = Register(3, ("a",))
