@@ -56,16 +56,23 @@ def _csv_pieces(fields, batches):
 
 
 def _json_pieces(payload: dict, fields, batches):
-    """json.dumps(payload, indent=2, sort_keys=True) + newline, each row a dict, in pieces."""
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
-    head, tail = encoder.encode({**payload, "rows": []}).split('"rows": []')
+    """json.dumps(payload, indent=2, sort_keys=True) + newline, each row a dict, in pieces.
+
+    Every row is written through one template, built once with the fields
+    in sorted order at the rows' depth. Row values are Python ints and
+    finite floats, whose repr (``int.__repr__``, ``float.__repr__``) is the
+    text ``json`` writes for them.
+    """
+    head, tail = json.dumps({**payload, "rows": []}, indent=2, sort_keys=True).split('"rows": []')
+    members = ",\n".join(
+        "      %s: {%d!r}" % (json.dumps(fields[i]), i)
+        for i in sorted(range(len(fields)), key=fields.__getitem__)
+    )
+    row = "    {{\n" + members + "\n    }}"
     yield head + '"rows": ['
     sep = "\n"
     for batch in batches:
-        # a batch encoded as a top-level list, then indented two more spaces
-        # (JSON has no other newlines) to sit under "rows"
-        text = encoder.encode([dict(zip(fields, row)) for row in batch])
-        yield sep + "  " + text[2:-2].replace("\n", "\n  ")
+        yield sep + ",\n".join(itertools.starmap(row.format, batch))
         sep = ",\n"
     yield ("]" if sep == "\n" else "\n  ]") + tail + "\n"
 

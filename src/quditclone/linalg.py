@@ -171,44 +171,20 @@ def column_sparse_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return rows, m[rows, np.arange(m.shape[1])]
 
 
-def monomial_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Row map and entries of a monomial square M, or None if M is not one.
-
-    M is monomial when it has one nonzero per row and column (a shift, a
-    phase, their tensor products): the column-sparse form at r = 1 with
-    distinct rows. Column j's nonzero is then M[rows[j], j] = entries[j],
-    so M|j> = entries[j] |rows[j]>. One O(D^2) scan.
-    """
-    parts = column_sparse_form(m)
-    if parts is None or len(parts[0]) != 1:
-        return None
-    rows, entries = parts[0][0], parts[1][0]
-    if (np.bincount(rows, minlength=len(m)) != 1).any():
-        return None
-    return rows, entries
-
-
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A @ B, as a gather and scale in O(D^2) when either factor is monomial.
+    """A @ B, as a gather and scale in O(D^2) when B has one nonzero per column.
 
-    With B|j> = e_j |r_j>, column j of A B is e_j times column r_j of A;
-    with A|j> = e_j |r_j>, row r_j of A B is e_j times row j of B. The
-    gathered copy is scaled in place, so it is the one D x D array made.
-    Any other pair takes the product.
+    With B|j> = e_j |r_j> (``column_sparse_form`` at r = 1), column j of
+    A B is e_j times column r_j of A, which holds even when rows repeat.
+    The gathered copy is scaled in place, so it is the one D x D array
+    made. Any other B takes the product.
     """
-    parts = monomial_form(b)
-    if parts is not None:
-        rows, entries = parts
-        out = a[:, rows].astype(np.result_type(a, b), copy=False)
-        return np.multiply(out, entries, out=out)
-    parts = monomial_form(a)
-    if parts is not None:
-        rows, entries = parts
-        inverse = np.empty_like(rows)
-        inverse[rows] = np.arange(len(rows))
-        out = b[inverse].astype(np.result_type(a, b), copy=False)
-        return np.multiply(entries[inverse, None], out, out=out)
-    return a @ b
+    parts = column_sparse_form(b)
+    if parts is None or len(parts[0]) != 1:
+        return a @ b
+    (rows,), (entries,) = parts
+    out = a[:, rows].astype(np.result_type(a, b), copy=False)
+    return np.multiply(out, entries, out=out)
 
 
 def _sparse_gram_deviation(rows: np.ndarray, entries: np.ndarray) -> float:

@@ -16,14 +16,16 @@ correction blocks) instead, so the two builders cross-check each other
 through one evaluator. The dense operators built here from the paper's
 formulas (``u_enc``, ``v_of_p``, ``u_dec_dense``, ``dec_projector_sum``)
 are oracles only: the tests and ``verify_identities`` use them, no run
-does. They are cheap to build for D = d^(n+1): ``v_of_p`` of a Pauli
-product, a monomial, takes O(D^2), and ``dec_projector_sum`` is one
-product over its d^2 Bell terms. ``verify_identities`` forms no D x D
-matrix product: each operator it checks has d nonzeros per column, which
-``is_unitary`` reads its deviation from, and each product it checks has
-a monomial factor (V(P_Z), the SWAP . C head), so ``linalg.product``
-gathers it, O(D^2) each. Its sampled checks are batched over their
-samples, and the relay applies I x C as a gather.
+does. One function reads their structure, ``linalg.column_sparse_form``.
+They are cheap to build for D = d^(n+1): ``v_of_p`` takes a P with one
+nonzero per column, as every Pauli product is, in O(D^2), and
+``dec_projector_sum`` is one product over its d^2 Bell terms.
+``verify_identities`` forms no D x D matrix product: each operator it
+checks has d nonzeros per column, which ``is_unitary`` reads its
+deviation from; V(P_X) V(P_Z) is a gather of V(P_X)'s columns
+(``linalg.product``), and the SWAP . C head of the decryption a gather
+of the projector sum's d^2 row blocks, O(D^2) each. Its sampled checks
+are batched over their samples, and the relay applies I x C as a gather.
 
 A run orders its wires [A, S_j (j != t).., S_t, N_t, N_j (j != t)..]
 (``_run_register``), so that encryption's wires lead and decryption's
@@ -49,16 +51,17 @@ import numpy as np
 from . import cazac, circuits, gates
 from .linalg import (
     DEFAULT_TOL,
+    OPERATOR_DIM_CAP,
     Register,
+    SizeCapError,
     StateVector,
     _check_dim,
     _check_operator_dim,
     _check_state_size,
+    column_sparse_form,
     is_unitary,
-    kron,
     kron_all,
     max_abs_diff,
-    monomial_form,
     product,
 )
 
@@ -100,14 +103,19 @@ def oracle_dim(params: ProtocolParams) -> int:
 def suite_params(d: int, n: int) -> ProtocolParams:
     """Parameters of the identity suite at (d, n), refused above the size caps.
 
-    Besides the d^(n+1)-dimension dense oracles, the suite works on
-    d^3-amplitude states at every n, the relay check's samples on three
-    wires; the Bell-basis checks and the relay gate C form d^2 x d^2
-    arrays at most. At n = 1 the d^3 rule is the binding one.
+    Besides the d^(n+1)-dimension dense oracles, the suite builds d^2 x d^2
+    Bell-basis tables and multiplies them, O(d^6) time, and works on
+    d^3-amplitude relay states, at every n. These grow with d alone, so
+    they are held to d^3 <= OPERATOR_DIM_CAP (d <= 16); at n = 1 this rule
+    is the binding one.
     """
     params = ProtocolParams(d, n)
     oracle_dim(params)
-    _check_operator_dim(d ** 3, f"d={d} identity suite")
+    if d ** 3 > OPERATOR_DIM_CAP:
+        raise SizeCapError(
+            f"d={d} identity suite: d^3 = {d ** 3} exceeds the cap {OPERATOR_DIM_CAP} "
+            "on its d^2 x d^2 Bell-table products and d^3-amplitude relay states"
+        )
     return params
 
 
@@ -127,46 +135,37 @@ def pauli_product(axis: str, d: int, n: int) -> np.ndarray:
 def v_of_p(p: np.ndarray, d: int) -> np.ndarray:
     """Chu-weighted power sum (1/sqrt d) sum_k c(k) P^k.
 
-    Requires P unitary with P^d = I; under that structure the flat
-    spectrum of the coefficients makes the sum unitary. The loop's last
-    power is P^d, and the check reads it. A monomial P (``monomial_form``;
-    every ``pauli_product`` is one) keeps P^k as a row map and its
-    entries, so each power costs O(D) and the whole sum O(D^2), with no
-    D x D array but the result; its one scan of P also gives its
-    unitarity, since P P^dag is then diagonal with entries |entries|^2.
-    Any other P takes ``is_unitary`` and d D x D products.
+    Takes a P with one nonzero per column (``column_sparse_form`` at
+    r = 1; every ``pauli_product`` is one), unitary with P^d = I; under
+    that structure the flat spectrum of the coefficients makes the sum
+    unitary. With P|j> = e_j |r_j>, each power P^k is kept as a row map
+    and its entries, so each costs O(D) and the whole sum O(D^2), with no
+    D x D array but the result. The loop's last power is P^d, and the
+    check reads it: a row map that returns every column to itself is a
+    permutation, so P is unitary when every |e_j| is 1. Any other P is
+    refused before the result is allocated.
     """
     p = np.asarray(p, dtype=complex)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ValueError("v_of_p: operator is not square")
-    parts = monomial_form(p)
-    if parts is None:
-        dev = is_unitary(p).max_deviation
-    else:
-        dev = float(np.max(np.abs(np.abs(parts[1]) ** 2 - 1)))
+    parts = column_sparse_form(p)
+    if parts is None or len(parts[0]) != 1:
+        raise ValueError("v_of_p: operator does not have one nonzero per column")
+    (rows,), (entries,) = parts
+    dev = float(np.max(np.abs(np.abs(entries) ** 2 - 1)))
     if not dev <= DEFAULT_TOL:
         raise ValueError(f"v_of_p: operator is not unitary (deviation {dev:.3e})")
     dim = p.shape[0]
     c = cazac.chu(d).values
     out = np.zeros((dim, dim), dtype=complex)
-    if parts is None:
-        pk = np.eye(dim, dtype=complex)
-        for k in range(d):
-            out += c[k] * pk
-            pk = p @ pk
-        pk[np.diag_indices(dim)] -= 1
-        periodic = np.abs(pk).max() <= DEFAULT_TOL
-    else:
-        # P^k|j> = val[j] |at[j]>, so P^(k+1)|j> = val[j] entries[at[j]] |rows[at[j]]>
-        rows, entries = parts
-        cols = np.arange(dim)
-        at, val = cols, np.ones(dim, dtype=complex)
-        for k in range(d):
-            out[at, cols] += c[k] * val
-            val = val * entries[at]
-            at = rows[at]
-        periodic = (at == cols).all() and np.abs(val - 1).max() <= DEFAULT_TOL
-    if not periodic:
+    # P^k|j> = val[j] |at[j]>, so P^(k+1)|j> = val[j] entries[at[j]] |rows[at[j]]>
+    cols = np.arange(dim)
+    at, val = cols, np.ones(dim, dtype=complex)
+    for k in range(d):
+        out[at, cols] += c[k] * val
+        val = val * entries[at]
+        at = rows[at]
+    if not ((at == cols).all() and np.abs(val - 1).max() <= DEFAULT_TOL):
         raise ValueError(f"v_of_p: operator does not satisfy P^{d} = I")
     out /= np.sqrt(d)
     return out
@@ -252,13 +251,22 @@ def u_dec_dense(params: ProtocolParams) -> np.ndarray:
     Bell-projected conditional-Weyl sum; the inverse coefficients are
     conjugates, exact since every c_kl has unit modulus.
     """
-    return product(_dec_head(params), dec_projector_sum(params))
+    return _head_times(params.d, dec_projector_sum(params))
 
 
-def _dec_head(params: ProtocolParams) -> np.ndarray:
-    """Head of ``u_dec_dense``: SWAP . C on the (S_t, N_t) pair, identity elsewhere."""
-    pair = gates.swap_gate(params.d) @ c_gate(params.d)
-    return kron(pair, np.eye(params.d ** (params.n - 1)))
+def _head_times(d: int, a: np.ndarray) -> np.ndarray:
+    """(SWAP . C on the pair x I) A, as a gather of A's d^2 row blocks.
+
+    SWAP . C sends |j> to e_j |r_j> on the pair, so row block r_j of the
+    product is e_j times row block j of A. The gathered copy is scaled in
+    place, e_j on the left as in the product, so no D x D head is made.
+    """
+    (rows,), (entries,) = column_sparse_form(product(gates.swap_gate(d), c_gate(d)))
+    inverse = np.empty_like(rows)
+    inverse[rows] = np.arange(d * d)
+    out = a.reshape(d * d, -1)[inverse]
+    np.multiply(entries[inverse, None], out, out=out)
+    return out.reshape(a.shape)
 
 
 @dataclass
@@ -575,7 +583,7 @@ def _check_bell_relay(d, rng, samples):
     sum_w (W_w psi) x (W_w x I)|Phi> is one contraction of the Weyl
     table, the draws and the Bell basis, whose row w is (W_w x I)|Phi>.
     I x C acts on each sample's (d, d^2) layout as x C^T, a gather
-    through C's monomial form (``product``).
+    through C^T's one nonzero per column (``product``).
     """
     bell = gates.bell_amplitudes(d)
     z = rng.standard_normal((samples, 2, d))
@@ -656,7 +664,7 @@ def _check_encryption_unitary(params):
 
 def _check_decryption_unitary(params):
     a = dec_projector_sum(params)
-    return max(is_unitary(m).max_deviation for m in (a, product(_dec_head(params), a)))
+    return max(is_unitary(m).max_deviation for m in (a, _head_times(params.d, a)))
 
 
 def verify_identities(

@@ -149,8 +149,8 @@ def test_verify_refuses_cubic_suite_objects_at_one_party(monkeypatch, capsys):
     def check_ran(*args):
         raise AssertionError("an identity check ran")
 
-    # the n = 1 oracles are 17^2-dim, but the relay, projector-algebra and
-    # trace-delta checks form 17^3-dim objects
+    # the n = 1 oracles are 17^2-dim, but the suite's d^2 x d^2 Bell-table
+    # products and d^3-amplitude relay states are held to d^3 <= 4096
     monkeypatch.setattr(protocol, "_check_ricochet", check_ran)
     code, out, err = run_cli(capsys, "verify", "--d-range", "17", "--n", "1")
     assert code == 2
@@ -331,6 +331,23 @@ def test_streamed_tables_equal_the_one_shot_text(capsys, argv, fmt):
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
     assert (code, err) == (0, "")
     assert out == _one_shot_table(argv[0], fmt, argv)
+
+
+@pytest.mark.parametrize("fields,rows", [
+    (("d", "n", "NE1Q", "NE2Q", "ND1Q", "ND2Q"), [(2, 2, 6, 8, 10, 12), (10 ** 20, 5, 0, -1, 3, 4)]),
+    (("m", "n", "magnitude"), [(0, 0, 1.0), (0, 1, 1e-300), (3, 2, 0.1), (1, 1, 1e16), (2, 0, -0.0)]),
+], ids=["counts", "autocorr"])
+def test_json_row_template_writes_what_json_dumps_writes(fields, rows):
+    from quditclone.cli import _json_pieces
+
+    payload = {"d": 5, "version": quditclone.__version__}
+    for count in range(len(rows) + 1):
+        for size in (1, 2):
+            batches = [rows[:count][i:i + size] for i in range(0, count, size)]
+            got = "".join(_json_pieces(payload, fields, iter(batches)))
+            table = [dict(zip(fields, row)) for row in rows[:count]]
+            want = json.dumps({**payload, "rows": table}, indent=2, sort_keys=True) + "\n"
+            assert got == want, (count, size)
 
 
 def test_autocorr_csv_peak_row(capsys):

@@ -25,7 +25,7 @@ from quditclone import (
     phase_z,
     swap_gate,
 )
-from quditclone.linalg import column_sparse_form, monomial_form, product
+from quditclone.linalg import column_sparse_form, product
 from quditclone.cazac import chu
 from quditclone.gates import bell_amplitudes
 
@@ -215,26 +215,17 @@ def test_is_unitary_monomial_scan_matches_product():
         assert bool(check) == (want <= 1e-10)
 
 
-def test_monomial_form_reads_back_the_matrix():
-    rng = np.random.default_rng(13)
-    perm = rng.permutation(27)
-    m = np.eye(27)[perm] * np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
-    for mat in (m, kron(shift_x(3), phase_z(3)), np.eye(4)):
-        rows, entries = monomial_form(mat)
-        back = np.zeros_like(mat, dtype=complex)
-        back[rows, np.arange(len(mat))] = entries
-        assert np.array_equal(back, mat)
-    for mat in (np.diag([1.0, 0.0]), fourier(3), np.ones((2, 2))):
-        assert monomial_form(mat) is None
-
-
 def test_column_sparse_form_reads_back_the_matrix():
     rng = np.random.default_rng(14)
     perm = rng.permutation(27)
     m = np.zeros((27, 27), dtype=complex)
     for k in range(3):  # three nonzeros in every column, at distinct rows
         m[(perm + 5 * k) % 27, np.arange(27)] = rng.standard_normal(27) + 1j
-    for mat, r in ((m, 3), (np.kron(fourier(2), np.eye(2)), 2), (np.diag([2.0, 0.5]), 1)):
+    rng = np.random.default_rng(13)
+    mono = np.eye(27)[rng.permutation(27)] * np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
+    cases = [(m, 3), (np.kron(fourier(2), np.eye(2)), 2), (np.diag([2.0, 0.5]), 1)]
+    cases += [(mono, 1), (kron(shift_x(3), phase_z(3)), 1), (np.eye(4), 1)]
+    for mat, r in cases:
         rows, entries = column_sparse_form(mat)
         assert rows.shape == entries.shape == (r, len(mat))
         assert (np.diff(rows, axis=0) > 0).all()
@@ -251,32 +242,31 @@ def test_product_gathers_through_a_monomial_factor():
     dense = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
     mono = np.eye(27)[rng.permutation(27)] * np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
     wide = rng.standard_normal((6, 27)) + 1j
-    for a, b in ((dense, mono), (mono, dense), (mono, mono), (dense, dense), (wide, mono)):
+    merge = np.zeros((27, 27), dtype=complex)  # one nonzero per column, rows repeat
+    merge[rng.integers(0, 27, 27), np.arange(27)] = rng.standard_normal(27) + 1j
+    pairs = ((dense, mono), (mono, dense), (mono, mono), (dense, dense), (wide, mono))
+    for a, b in (*pairs, (dense, merge)):
         assert max_abs_diff(product(a, b), a @ b) <= 1e-14
 
 
 def test_product_gathers_bit_identically_into_one_array():
-    # each monomial side gathers one copy and scales it in place, with the
-    # operands in the order of the scaled product, so every bit is kept
+    # a right factor with one nonzero per column gathers one copy and
+    # scales it in place, in the order of the scaled product, so every bit is kept
     import tracemalloc
 
     rng = np.random.default_rng(16)
     dim = 256
     dense = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     mono = np.eye(dim)[rng.permutation(dim)] * np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
-    rows, entries = monomial_form(mono)
+    (rows,), (entries,) = column_sparse_form(mono)
     assert np.array_equal(product(dense, mono), dense[:, rows] * entries)
-    want = np.empty_like(dense)
-    want[rows] = entries[:, None] * dense
-    assert np.array_equal(product(mono, dense), want)
-    for a, b in ((dense, mono), (mono, dense)):
-        tracemalloc.start()
-        try:
-            product(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * dense.nbytes
+    tracemalloc.start()
+    try:
+        product(dense, mono)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * dense.nbytes
 
 
 def test_overlap_basics():

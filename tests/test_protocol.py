@@ -49,14 +49,13 @@ from quditclone import (
 )
 from quditclone.cazac import chu
 from quditclone.gates import bell_amplitudes, bell_basis, weyl_table
-from quditclone.linalg import column_sparse_form, monomial_form, product
+from quditclone.linalg import column_sparse_form, product
 from quditclone.protocol import (
     _check_bell_basis_orthonormal,
     _check_bell_pair_invariance,
     _check_partial_trace_product,
     _check_projector_algebra,
     _check_ricochet,
-    _dec_head,
     suite_params,
 )
 
@@ -114,28 +113,31 @@ def _power_sum(p, d):
 
 
 def test_v_of_p_matches_power_sum():
-    # a monomial P takes the row-map powers, any other P the products
+    # a P with one nonzero per column takes the row-map powers; any other
+    # P, such as a conjugated Pauli product, is refused
     rng = np.random.default_rng(23)
     for d in (2, 3, 4, 5):
         for n in (1, 2):
             for axis in "xz":
                 p = pauli_product(axis, d, n)
-                assert monomial_form(p) is not None
+                assert len(column_sparse_form(p)[0]) == 1
                 assert max_abs_diff(v_of_p(p, d), _power_sum(p, d)) < 1e-12, (d, n, axis)
         u = random_unitary(rng, d * d)
         p = u @ np.kron(shift_x(d), phase_z(d)) @ u.conj().T
-        assert monomial_form(p) is None
-        assert max_abs_diff(v_of_p(p, d), _power_sum(p, d)) < 1e-12, d
+        with pytest.raises(ValueError, match="one nonzero per column"):
+            v_of_p(p, d)
 
 
 def test_v_of_p_rejects_wrong_order():
-    # X_3 and Z_3 have order 3, not 4: the monomial powers end off the
-    # identity map (X) or on it with phases other than 1 (Z), and the
-    # product powers of a conjugated X_3 end off the identity
+    # X_3 and Z_3 have order 3, not 4: the row-map powers end off the
+    # identity map (X) or on it with phases other than 1 (Z); a conjugated
+    # X_3 has no row map and is refused before any power
     u = random_unitary(np.random.default_rng(29), 3)
-    for p in (shift_x(3), phase_z(3), u @ shift_x(3) @ u.conj().T):
+    for p in (shift_x(3), phase_z(3)):
         with pytest.raises(ValueError, match="P\\^4 = I"):
             v_of_p(p, 4)
+    with pytest.raises(ValueError, match="one nonzero per column"):
+        v_of_p(u @ shift_x(3) @ u.conj().T, 4)
 
 
 def test_v_of_p_traced_peak_is_two_operators():
@@ -258,7 +260,7 @@ def test_c_gate_is_an_exact_permutation():
     # |a, c> -> |a - 2c, -c> with every nonzero exactly 1, so the suite's
     # products with it stay gathers
     for d in range(2, 17):
-        rows, entries = monomial_form(c_gate(d))
+        (rows,), (entries,) = column_sparse_form(c_gate(d))
         a, c = np.divmod(np.arange(d * d), d)
         assert np.array_equal(rows, ((a - 2 * c) % d) * d + (-c) % d), d
         assert np.array_equal(entries, np.ones(d * d)), d
@@ -316,10 +318,12 @@ def test_dec_projector_sum_unitary():
 
 
 def test_u_dec_factors_through_projector_sum():
-    d, n = 3, 2
-    head = np.kron(swap_gate(d) @ c_gate(d), np.eye(d ** (n - 1)))
-    lhs = u_dec_dense(ProtocolParams(d, n))
-    assert max_abs_diff(lhs, head @ dec_projector_sum(ProtocolParams(d, n))) < 1e-12
+    # the head is an exact permutation, so its row-block gather keeps every
+    # bit of the dense product with the kron-built head
+    for d, n in ((3, 2), (4, 3), (5, 1)):
+        params = ProtocolParams(d, n)
+        head = np.kron(swap_gate(d) @ c_gate(d), np.eye(d ** (n - 1)))
+        assert max_abs_diff(u_dec_dense(params), head @ dec_projector_sum(params)) == 0, (d, n)
 
 
 def _random_register_state(rng, d, n):
@@ -728,7 +732,7 @@ def test_batched_checks_match_their_per_sample_loops(monkeypatch):
 
 
 def test_bell_relay_forms_no_cubic_operator():
-    # I x C reaches the samples as a gather through C's monomial form; the
+    # I x C reaches the samples as a gather through C^T's one nonzero per column; the
     # dense d^3 x d^3 operator was 256 MiB at d = 16
     import tracemalloc
 
@@ -746,11 +750,12 @@ def test_bell_relay_forms_no_cubic_operator():
 
 
 def test_suite_operators_take_the_structured_path():
-    # every operator the suite checks has at most d nonzeros in each column
-    # and every product it forms has a monomial factor, so no check falls
-    # back to a D x D product; a roundoff nonzero would fail here. (8, 3),
-    # the one pair at the operator cap, is left out: its five 4096-dim
-    # operators peak at 1.2 GB, and the same builders run at (8, 2) and (7, 3)
+    # every operator the suite checks has at most d nonzeros in each column,
+    # V(P_Z) has one, and the decryption is a row-block gather of the
+    # projector sum, so no check falls back to a D x D product; a roundoff
+    # nonzero would fail here. (8, 3), the one pair at the operator cap, is
+    # left out: its five 4096-dim operators peak at 1.2 GB, and the same
+    # builders run at (8, 2) and (7, 3)
     def count(m):
         parts = column_sparse_form(m)
         return None if parts is None else len(parts[0])
@@ -761,12 +766,10 @@ def test_suite_operators_take_the_structured_path():
                 continue
             params = suite_params(d, n)
             vx, vz = (v_of_p(pauli_product(axis, d, n), d) for axis in "xz")
-            assert monomial_form(vz) is not None, (d, n)
+            assert count(vz) == 1, (d, n)
             assert count(vx) == count(product(vx, vz)) == d, (d, n)
             del vx, vz
-            head, a = _dec_head(params), dec_projector_sum(params)
-            assert monomial_form(head) is not None, (d, n)
-            assert count(a) == count(product(head, a)) == d, (d, n)
+            assert count(dec_projector_sum(params)) == count(u_dec_dense(params)) == d, (d, n)
 
 
 def test_u_enc_is_invariant_under_wire_permutations():
