@@ -215,17 +215,28 @@ def test_is_unitary_monomial_scan_matches_product():
         assert bool(check) == (want <= 1e-10)
 
 
+def test_monomial_form_reads_back_the_matrix():
+    # a monomial matrix (one nonzero per column) reads back as one row of
+    # column_sparse_form; a matrix with a zero column or a dense one does not
+    rng = np.random.default_rng(13)
+    perm = rng.permutation(27)
+    m = np.eye(27)[perm] * np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
+    for mat in (m, kron(shift_x(3), phase_z(3)), np.eye(4)):
+        (rows,), (entries,) = column_sparse_form(mat)
+        back = np.zeros_like(mat, dtype=complex)
+        back[rows, np.arange(len(mat))] = entries
+        assert np.array_equal(back, mat)
+    for mat in (np.diag([1.0, 0.0]), fourier(3), np.ones((2, 2))):
+        assert column_sparse_form(mat) is None
+
+
 def test_column_sparse_form_reads_back_the_matrix():
     rng = np.random.default_rng(14)
     perm = rng.permutation(27)
     m = np.zeros((27, 27), dtype=complex)
     for k in range(3):  # three nonzeros in every column, at distinct rows
         m[(perm + 5 * k) % 27, np.arange(27)] = rng.standard_normal(27) + 1j
-    rng = np.random.default_rng(13)
-    mono = np.eye(27)[rng.permutation(27)] * np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
-    cases = [(m, 3), (np.kron(fourier(2), np.eye(2)), 2), (np.diag([2.0, 0.5]), 1)]
-    cases += [(mono, 1), (kron(shift_x(3), phase_z(3)), 1), (np.eye(4), 1)]
-    for mat, r in cases:
+    for mat, r in ((m, 3), (np.kron(fourier(2), np.eye(2)), 2), (np.diag([2.0, 0.5]), 1)):
         rows, entries = column_sparse_form(mat)
         assert rows.shape == entries.shape == (r, len(mat))
         assert (np.diff(rows, axis=0) > 0).all()
