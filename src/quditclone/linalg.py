@@ -171,22 +171,6 @@ def column_sparse_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return rows, m[rows, np.arange(m.shape[1])]
 
 
-def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A @ B, as a gather and scale in O(D^2) when B has one nonzero per column.
-
-    With B|j> = e_j |r_j> (``column_sparse_form`` at r = 1), column j of
-    A B is e_j times column r_j of A, which holds even when rows repeat.
-    The gathered copy is scaled in place, so it is the one D x D array
-    made. Any other B takes the product.
-    """
-    parts = column_sparse_form(b)
-    if parts is None or len(parts[0]) != 1:
-        return a @ b
-    (rows,), (entries,) = parts
-    out = a[:, rows].astype(np.result_type(a, b), copy=False)
-    return np.multiply(out, entries, out=out)
-
-
 def _sparse_gram_deviation(rows: np.ndarray, entries: np.ndarray) -> float:
     """max |(M M^dag - I)_ik| from M's column-sparse form, with no D x D array.
 

@@ -22,10 +22,11 @@ nonzero per column, as every Pauli product is, in O(D^2), and
 ``dec_projector_sum`` is one product over its d^2 Bell terms.
 ``verify_identities`` forms no D x D matrix product: each operator it
 checks has d nonzeros per column, which ``is_unitary`` reads its
-deviation from; V(P_X) V(P_Z) is a gather of V(P_X)'s columns
-(``linalg.product``), and the SWAP . C head of the decryption a gather
-of the projector sum's d^2 row blocks, O(D^2) each. Its sampled checks
-are batched over their samples, and the relay applies I x C as a gather.
+deviation from. V(P_Z) is diagonal, so V(P_X) V(P_Z) is V(P_X) with its
+columns scaled by that diagonal, and the SWAP . C head of the decryption,
+an exact permutation, is a scatter of the projector sum's d^2 row
+blocks, O(D^2) each. Its sampled checks are batched over their samples;
+the relay and the head's pair are plain d^2 x d^2 matmuls.
 
 A run orders its wires [A, S_j (j != t).., S_t, N_t, N_j (j != t)..]
 (``_run_register``), so that encryption's wires lead and decryption's
@@ -62,7 +63,6 @@ from .linalg import (
     is_unitary,
     kron_all,
     max_abs_diff,
-    product,
 )
 
 
@@ -194,10 +194,16 @@ def exp_generalization(p: np.ndarray, theta: float) -> np.ndarray:
 
 
 def u_enc(params: ProtocolParams) -> np.ndarray:
-    """Encryption unitary V(P_X) V(P_Z) on wires (A, S_1..S_n)."""
-    px = pauli_product("x", params.d, params.n)
-    pz = pauli_product("z", params.d, params.n)
-    return product(v_of_p(px, params.d), v_of_p(pz, params.d))
+    """Encryption unitary V(P_X) V(P_Z) on wires (A, S_1..S_n).
+
+    V(P_Z) is diagonal, so the product is V(P_X) with its columns scaled
+    in place by V(P_Z)'s diagonal.
+    """
+    d, n = params.d, params.n
+    phases = np.diagonal(v_of_p(pauli_product("z", d, n), d)).copy()
+    out = v_of_p(pauli_product("x", d, n), d)
+    out *= phases
+    return out
 
 
 def c_gate(d: int) -> np.ndarray:
@@ -255,17 +261,16 @@ def u_dec_dense(params: ProtocolParams) -> np.ndarray:
 
 
 def _head_times(d: int, a: np.ndarray) -> np.ndarray:
-    """(SWAP . C on the pair x I) A, as a gather of A's d^2 row blocks.
+    """(SWAP . C on the pair x I) A, as a scatter of A's d^2 row blocks.
 
-    SWAP . C sends |j> to e_j |r_j> on the pair, so row block r_j of the
-    product is e_j times row block j of A. The gathered copy is scaled in
-    place, e_j on the left as in the product, so no D x D head is made.
+    SWAP . C, a plain d^2 x d^2 matmul of two exact permutations, sends
+    |j> to |r_j> on the pair, so row block r_j of the product is row
+    block j of A, and no D x D head is made.
     """
-    (rows,), (entries,) = column_sparse_form(product(gates.swap_gate(d), c_gate(d)))
-    inverse = np.empty_like(rows)
-    inverse[rows] = np.arange(d * d)
-    out = a.reshape(d * d, -1)[inverse]
-    np.multiply(entries[inverse, None], out, out=out)
+    (rows,), _ = column_sparse_form(gates.swap_gate(d) @ c_gate(d))
+    blocks = a.reshape(d * d, -1)
+    out = np.empty_like(blocks)
+    out[rows] = blocks
     return out.reshape(a.shape)
 
 
@@ -582,8 +587,8 @@ def _check_bell_relay(d, rng, samples):
     ``standard_normal`` call per part would. For all samples at once,
     sum_w (W_w psi) x (W_w x I)|Phi> is one contraction of the Weyl
     table, the draws and the Bell basis, whose row w is (W_w x I)|Phi>.
-    I x C acts on each sample's (d, d^2) layout as x C^T, a gather
-    through C^T's one nonzero per column (``product``).
+    I x C acts on each sample's (d, d^2) layout as x C^T, a plain
+    (samples d, d^2) x (d^2, d^2) matmul by an exact 0/1 permutation.
     """
     bell = gates.bell_amplitudes(d)
     z = rng.standard_normal((samples, 2, d))
@@ -592,7 +597,7 @@ def _check_bell_relay(d, rng, samples):
     lhs = np.einsum(
         "wij,sj,wp->sip", gates.weyl_table(d), psi, gates.bell_basis(d), optimize=True
     ).reshape(samples * d, d * d)
-    lhs = product(lhs / d, c_gate(d).T).reshape(samples, d ** 3)
+    lhs = ((lhs / d) @ c_gate(d).T).reshape(samples, d ** 3)
     rhs = (bell[None, :, None] * psi[:, None, :]).reshape(samples, d ** 3)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
@@ -656,10 +661,15 @@ def _check_partial_trace_product(d, rng, samples):
 
 
 def _check_encryption_unitary(params):
+    """Unitarity of V(P_Z), V(P_X) and u_enc's V(P_X) V(P_Z), two D x D arrays at most alive."""
     d, n = params.d, params.n
-    vx, vz = (v_of_p(pauli_product(axis, d, n), d) for axis in "xz")
-    # vx @ vz is u_enc, built from the same two factors
-    return max(is_unitary(m).max_deviation for m in (vx, vz, product(vx, vz)))
+    vz = v_of_p(pauli_product("z", d, n), d)
+    dev, phases = is_unitary(vz).max_deviation, np.diagonal(vz).copy()
+    del vz  # V(P_Z) is diagonal: it is kept as its diagonal
+    vx = v_of_p(pauli_product("x", d, n), d)
+    dev = max(dev, is_unitary(vx).max_deviation)
+    vx *= phases  # V(P_X) V(P_Z), in place
+    return max(dev, is_unitary(vx).max_deviation)
 
 
 def _check_decryption_unitary(params):

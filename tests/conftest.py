@@ -4,7 +4,11 @@ partial traces, overlaps) that the package's in-place code is checked against,
 and the per-sample loops and dense products that its batched and sparse
 identity checks are checked against."""
 
+import ast
+import io
+import tokenize
 from dataclasses import InitVar, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -287,3 +291,32 @@ def bell_relay_loop(d: int, rng, samples: int) -> float:
         lhs = cg @ (lhs / d)
         worst = max(worst, float(np.max(np.abs(lhs - np.kron(bell, psi)))))
     return worst
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+_DOCSTRING_OWNERS = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def source_size(package: Path) -> tuple[int, int]:
+    """Total lines and code lines (neither blank, comment nor docstring) of a package's modules."""
+    total = code = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, _DOCSTRING_OWNERS) and ast.get_docstring(node) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _NOT_CODE:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        total += text.count("\n")
+        code += len(lines - docstrings)
+    return total, code
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Report the size of the package under test; it asserts nothing."""
+    total, code = source_size(Path(protocol.__file__).parent)
+    terminalreporter.write_line(f"quditclone sources: {total:,} lines, {code:,} code lines")

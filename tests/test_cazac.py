@@ -126,6 +126,14 @@ def test_grid_autocorrelation_vanishes_at_row_shifts():
             assert abs(periodic_autocorr(flat, a * d)) < TOL
 
 
+def test_sequence_and_gauss_sum_refuse_with_their_cause():
+    with pytest.raises(ValueError, match="value count does not match d"):
+        ChuSequence(3, 1, 0, chu(2).values)
+    for m in (-1, 3):
+        with pytest.raises(ValueError, match=f"m {m} out of range for d=3"):
+            gauss_sum(3, m)
+
+
 def test_sequence_invariants_enforced():
     with pytest.raises(ValueError):
         ChuSequence(3, 1, 0, np.array([1.0, 2.0, 1.0]))

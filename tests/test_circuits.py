@@ -507,6 +507,30 @@ def test_udec_circuit_has_expected_block_count():
     assert circ.ops[-1].kind == "swap"
 
 
+def test_udec_circuit_tally():
+    # the d^2 - 1 correction blocks are conditional scalars; their controls
+    # on the n - 1 other locals land in the multi bucket, and the bare
+    # leading scalar is free
+    for d, n in ((2, 1), (3, 2), (4, 3)):
+        assert tally_gates(build_udec_circuit(ProtocolParams(d, n))) == {
+            "one_qudit": 4, "two_qudit": d * d + 3, "multi": 2 * (n - 1) * (d * d - 1)}, (d, n)
+
+
+def test_gateop_and_builders_refuse_with_their_cause():
+    with pytest.raises(ValueError, match="swap takes 2 target"):
+        GateOp(kind="swap", targets=("a",))
+    with pytest.raises(ValueError, match="cpow base must be 'x' or 'z'"):
+        GateOp(kind="cpow", base="y", power=1, targets=("a",), controls=("b",))
+    with pytest.raises(ValueError, match="phases must be finite"):
+        GateOp(kind="diag", targets=("a",), phases=(0.0, np.nan))
+    with pytest.raises(ValueError, match="phases must be finite"):
+        GateOp(kind="scalar", phase=np.inf)
+    with pytest.raises(ValueError, match="at least one share"):
+        build_vpz_circuit(2, 0)
+    with pytest.raises(ValueError, match="at least one share"):
+        build_tkl(2, 0, 0, 0)
+
+
 def test_circuit_serialization_round_trip_fields():
     circ = build_udec_circuit(ProtocolParams(2, 2))
     data = json.loads(json.dumps([op.to_dict() for op in circ.ops]))

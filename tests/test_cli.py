@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quditclone
@@ -430,6 +431,17 @@ def test_circuit_dump(capsys):
         set(op) == {"kind", "params", "targets", "controls", "control_levels"}
         for op in data["ops"]
     )
+
+
+def test_circuit_dump_writes_the_q_gate_phases(capsys):
+    # the vpz and vpx dumps carry the diag gate's phases, arg(q_k), exactly
+    from quditclone.circuits import q_entries
+
+    for builder in ("vpz", "vpx"):
+        code, out, _ = run_cli(capsys, "circuit-dump", builder, "--d", "3", "--n", "2")
+        assert code == 0
+        (diag,) = [op for op in json.loads(out)["ops"] if op["kind"] == "diag"]
+        assert diag["params"]["phases"] == np.angle(q_entries(3)).tolist(), builder
 
 
 def test_bad_range_is_config_error(capsys):

@@ -25,7 +25,7 @@ from quditclone import (
     phase_z,
     swap_gate,
 )
-from quditclone.linalg import column_sparse_form, product
+from quditclone.linalg import column_sparse_form
 from quditclone.cazac import chu
 from quditclone.gates import bell_amplitudes
 
@@ -248,36 +248,25 @@ def test_column_sparse_form_reads_back_the_matrix():
         assert column_sparse_form(mat) is None
 
 
-def test_product_gathers_through_a_monomial_factor():
-    rng = np.random.default_rng(15)
-    dense = rng.standard_normal((27, 27)) + 1j * rng.standard_normal((27, 27))
-    mono = np.eye(27)[rng.permutation(27)] * np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
-    wide = rng.standard_normal((6, 27)) + 1j
-    merge = np.zeros((27, 27), dtype=complex)  # one nonzero per column, rows repeat
-    merge[rng.integers(0, 27, 27), np.arange(27)] = rng.standard_normal(27) + 1j
-    pairs = ((dense, mono), (mono, dense), (mono, mono), (dense, dense), (wide, mono))
-    for a, b in (*pairs, (dense, merge)):
-        assert max_abs_diff(product(a, b), a @ b) <= 1e-14
+def test_column_sparse_form_refuses_uneven_columns():
+    # as many nonzeros as columns, r = 1, but column 2 holds two and column 3 none
+    merged = np.eye(4)
+    merged[:, 2] += merged[:, 3]
+    merged[:, 3] = 0
+    assert column_sparse_form(merged) is None
 
 
-def test_product_gathers_bit_identically_into_one_array():
-    # a right factor with one nonzero per column gathers one copy and
-    # scales it in place, in the order of the scaled product, so every bit is kept
-    import tracemalloc
-
-    rng = np.random.default_rng(16)
-    dim = 256
-    dense = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    mono = np.eye(dim)[rng.permutation(dim)] * np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
-    (rows,), (entries,) = column_sparse_form(mono)
-    assert np.array_equal(product(dense, mono), dense[:, rows] * entries)
-    tracemalloc.start()
-    try:
-        product(dense, mono)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * dense.nbytes
+def test_refusals_name_their_cause():
+    with pytest.raises(ValueError, match="first operand is not square"):
+        kron(np.ones((2, 3)), np.eye(2))
+    with pytest.raises(ValueError, match="second operand is not square"):
+        kron(np.eye(2), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="at least one wire"):
+        Register(2, ())
+    with pytest.raises(ValueError, match="repeated wires"):
+        Register(2, ("a", "b")).positions(("b", "a", "b"))
+    with pytest.raises(ValueError, match="is_unitary: matrix is not square"):
+        is_unitary(np.ones((2, 3)))
 
 
 def test_overlap_basics():

@@ -49,10 +49,11 @@ from quditclone import (
 )
 from quditclone.cazac import chu
 from quditclone.gates import bell_amplitudes, bell_basis, weyl_table
-from quditclone.linalg import column_sparse_form, product
+from quditclone.linalg import column_sparse_form
 from quditclone.protocol import (
     _check_bell_basis_orthonormal,
     _check_bell_pair_invariance,
+    _check_encryption_unitary,
     _check_partial_trace_product,
     _check_projector_algebra,
     _check_ricochet,
@@ -161,6 +162,11 @@ def test_v_of_p_rejects_nonunitary():
         v_of_p(np.diag([1.0, 2.0]), 2)
 
 
+def test_v_of_p_refuses_a_non_square_operator():
+    with pytest.raises(ValueError, match="v_of_p: operator is not square"):
+        v_of_p(np.ones((2, 3)), 2)
+
+
 def test_exp_generalization_at_zero():
     assert max_abs_diff(exp_generalization(shift_x(3), 0.0), np.eye(3)) < 1e-14
 
@@ -226,6 +232,33 @@ def test_u_enc_matches_double_sum():
                 term = kron_all([x_power(3, k) @ z_power(3, l)] * (n + 1))
                 total += c3[k] * c3[l] * term
         assert max_abs_diff(u_enc(ProtocolParams(3, n)), total / 3) < 1e-12
+
+
+def test_u_enc_is_the_dense_product_of_its_factors():
+    # u_enc scales V(P_X)'s columns by V(P_Z)'s diagonal; the GEMM of the
+    # two factors rounds its complex products differently, so not bitwise
+    for d, n in ((2, 1), (3, 2), (4, 2), (5, 1), (2, 4)):
+        vx, vz = (v_of_p(pauli_product(axis, d, n), d) for axis in "xz")
+        assert max_abs_diff(u_enc(ProtocolParams(d, n)), vx @ vz) <= 1e-15, (d, n)
+
+
+def test_encryption_check_holds_two_operators():
+    # V(P_Z) is dropped for its diagonal before V(P_X) is built, and the
+    # product is V(P_X) scaled in place: the peak is one V(P) and its P
+    import tracemalloc
+
+    for d, n in ((4, 4), (6, 3)):
+        params = suite_params(d, n)
+        _check_encryption_unitary(params)  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            worst = _check_encryption_unitary(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        operator_bytes = 16 * d ** (2 * (n + 1))
+        assert worst < TOL
+        assert peak <= 2.2 * operator_bytes, (d, n, peak / operator_bytes)
 
 
 def test_u_enc_matches_independent_factorization():
@@ -732,8 +765,8 @@ def test_batched_checks_match_their_per_sample_loops(monkeypatch):
 
 
 def test_bell_relay_forms_no_cubic_operator():
-    # I x C reaches the samples as a gather through C^T's one nonzero per column; the
-    # dense d^3 x d^3 operator was 256 MiB at d = 16
+    # I x C reaches the samples as a d^2 x d^2 matmul by C^T; the dense
+    # d^3 x d^3 operator was 256 MiB at d = 16
     import tracemalloc
 
     from quditclone import protocol
@@ -751,11 +784,11 @@ def test_bell_relay_forms_no_cubic_operator():
 
 def test_suite_operators_take_the_structured_path():
     # every operator the suite checks has at most d nonzeros in each column,
-    # V(P_Z) has one, and the decryption is a row-block gather of the
-    # projector sum, so no check falls back to a D x D product; a roundoff
-    # nonzero would fail here. (8, 3), the one pair at the operator cap, is
-    # left out: its five 4096-dim operators peak at 1.2 GB, and the same
-    # builders run at (8, 2) and (7, 3)
+    # V(P_Z) is diagonal, so V(P_X) V(P_Z) is a column scale of V(P_X), and
+    # the decryption is a row-block scatter of the projector sum, so no check
+    # falls back to a D x D product; a roundoff nonzero would fail here.
+    # (8, 3), the one pair at the operator cap, is left out: its 4096-dim
+    # operators take 268 MB each, and the same builders run at (8, 2) and (7, 3)
     def count(m):
         parts = column_sparse_form(m)
         return None if parts is None else len(parts[0])
@@ -766,8 +799,8 @@ def test_suite_operators_take_the_structured_path():
                 continue
             params = suite_params(d, n)
             vx, vz = (v_of_p(pauli_product(axis, d, n), d) for axis in "xz")
-            assert count(vz) == 1, (d, n)
-            assert count(vx) == count(product(vx, vz)) == d, (d, n)
+            assert count(vz) == 1 and np.array_equal(vz, np.diag(np.diagonal(vz))), (d, n)
+            assert count(vx) == count(vx * np.diagonal(vz)) == d, (d, n)
             del vx, vz
             assert count(dec_projector_sum(params)) == count(u_dec_dense(params)) == d, (d, n)
 
