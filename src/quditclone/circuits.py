@@ -16,12 +16,15 @@ gate kind except the two Fourier gates is monomial (a permutation of
 basis states times phases), so each maximal run of such gates is one
 gather and one phase multiply over its span, the wires from the first it
 touches to the last; each maximal stretch of uncontrolled gates on one
-wire that holds a Fourier gate is one d x d product on that wire. A
-circuit is compiled into these passes on its first evaluation and keeps
-them, read-only, so evaluating it again only executes them. A gather
-table has d^k entries for the k wires of its span, at most d^(n+1) for
-the protocol circuits, far below the d^(2n+1)-amplitude state they run
-on.
+wire that holds a Fourier gate is one d x d product on that wire. On
+its control slice, each monomial gate is a phase (zpow, diag, z-based
+cpow, scalar) or an index map (xpow, swap, x-based cpow) of the slice's
+digits; one table, ``_KINDS``, states each kind's targets and
+parameters. A circuit is compiled into these passes on its first
+evaluation and keeps them, read-only, so evaluating it again only
+executes them. A gather table has d^k entries for the k wires of its
+span, at most d^(n+1) for the protocol circuits, far below the
+d^(2n+1)-amplitude state they run on.
 
 Encryption has two forms of the same operator V(P_X) V(P_Z): the
 paper-literal ``build_vpz_circuit`` and ``build_vpx_circuit``, whose
@@ -50,27 +53,25 @@ from .linalg import (
     Register,
     StateVector,
     _check_dim,
+    _check_int,
     _check_operator_dim,
 )
 
 if TYPE_CHECKING:  # annotations only: protocol imports this module
     from .protocol import ProtocolParams
 
-KINDS = (
-    "xpow",         # shift power X^power
-    "zpow",         # phase power Z^power
-    "fourier",      # Fourier F; takes no controls
-    "fourier_dag",  # F^dag; takes no controls
-    "diag",         # diagonal phase gate, entries exp(i*phases[k])
-    "cpow",         # controlled power: |j>|k> -> |j> base^j |k>
-    "swap",
-    "scalar",       # global phase exp(i*phase), possibly level-controlled
-)
-
-_TARGET_COUNT = {
-    "xpow": 1, "zpow": 1, "fourier": 1, "fourier_dag": 1,
-    "diag": 1, "cpow": 1, "swap": 2, "scalar": 0,
+# Each kind: its target count and the parameters ``GateOp.to_dict`` writes.
+_KINDS = {
+    "xpow": (1, ("power",)),         # shift power X^power
+    "zpow": (1, ("power",)),         # phase power Z^power
+    "fourier": (1, ()),              # Fourier F; takes no controls
+    "fourier_dag": (1, ()),          # F^dag; takes no controls
+    "diag": (1, ("phases",)),        # diagonal phase gate, entries exp(i*phases[k])
+    "cpow": (1, ("base", "power")),  # controlled power: |j>|k> -> |j> base^j |k>
+    "swap": (2, ()),
+    "scalar": (0, ("phase",)),       # global phase exp(i*phase), possibly level-controlled
 }
+KINDS = tuple(_KINDS)
 
 # Every kind but these two is monomial, a permutation of basis states times
 # phases, so a run of them composes into one gather.
@@ -95,11 +96,12 @@ class GateOp:
         object.__setattr__(self, "controls", tuple(self.controls))
         object.__setattr__(self, "control_levels", tuple(self.control_levels))
         object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-        if len(self.targets) != _TARGET_COUNT[self.kind]:
-            raise ValueError(
-                f"{self.kind} takes {_TARGET_COUNT[self.kind]} target(s), "
-                f"got {self.targets}"
-            )
+        _check_int(self.power, "gate power")
+        for lv in self.control_levels:
+            _check_int(lv, "control level")
+        count = _KINDS[self.kind][0]
+        if len(self.targets) != count:
+            raise ValueError(f"{self.kind} takes {count} target(s), got {self.targets}")
         if self.kind in _DENSE_KINDS and self.controls:
             raise ValueError(f"{self.kind} takes no controls")
         if self.kind == "cpow":
@@ -120,19 +122,12 @@ class GateOp:
         return self.controls + self.targets
 
     def to_dict(self) -> dict:
-        params: dict = {}
-        if self.kind in ("xpow", "zpow"):
-            params["power"] = self.power
-        elif self.kind == "cpow":
-            params["base"] = self.base
-            params["power"] = self.power
-        elif self.kind == "diag":
-            params["phases"] = list(self.phases)
-        elif self.kind == "scalar":
-            params["phase"] = self.phase
         return {
             "kind": self.kind,
-            "params": params,
+            "params": {
+                name: list(self.phases) if name == "phases" else getattr(self, name)
+                for name in _KINDS[self.kind][1]
+            },
             "targets": list(self.targets),
             "controls": list(self.controls),
             "control_levels": list(self.control_levels),
@@ -196,56 +191,47 @@ def _runs(ops) -> list[list[GateOp]]:
     return runs
 
 
-def _along(v: np.ndarray, axis: int, ndim: int) -> np.ndarray:
-    """``v`` shaped to broadcast along one axis of an ``ndim``-axis array."""
-    return v.reshape([-1 if i == axis else 1 for i in range(ndim)])
-
-
 def _compile_run(ops, wires, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather form of a monomial run on ``wires``: out[y] = g[y] * v[src[y]].
 
     ``src`` and ``g`` are flat over the wires' joint index (big-endian).
-    Each gate rolls, swaps or phases them on its control slice only, so
+    Each gate acts on its control slice only, a length-1 slice on each
+    level-controlled wire, through that slice's digits y: a phase kind
+    multiplies the slice of ``g`` by a phase of y, and a permutation kind
+    gathers the slices of ``src`` and ``g`` through an index map of y. So
     no gate costs more than d^len(wires) entries.
     """
     k = len(wires)
     axis = {w: i for i, w in enumerate(wires)}
     src = np.arange(d ** k).reshape((d,) * k)
     g = np.ones((d,) * k, dtype=complex)
-    j = np.arange(d)
-    grid = None  # open grid of the joint index, made for the first cpow
+    digits: dict = {}  # per slice shape, made once: the literal decryption repeats a few
     for op in ops:
-        ix: list = [slice(None)] * k
+        ix = [slice(None)] * k
         for w, lv in zip(op.controls, op.control_levels):
-            ix[axis[w]] = lv
-        # views (the Ellipsis keeps a fully indexed slice 0-d), so updates
-        # land in src and g; the level-indexed axes drop out of the slice,
-        # which shifts the target axes down
-        s, ph = src[(*ix, ...)], g[(*ix, ...)]
-        tax = [axis[w] - sum(not isinstance(i, slice) for i in ix[:axis[w]])
-               for w in op.targets]
-        if op.kind == "xpow":
-            shift = (j - op.power) % d
-            s[...] = s.take(shift, axis=tax[0])
-            ph[...] = ph.take(shift, axis=tax[0])
-        elif op.kind == "zpow":
-            ph *= _along(gates.z_phases(d, op.power), tax[0], ph.ndim)
+            ix[axis[w]] = slice(lv, lv + 1)
+        if op.kind == "scalar":  # assigned through g: on no wires, g[()] is no view
+            g[tuple(ix)] *= np.exp(1j * op.phase)
+            continue
+        s, ph = src[tuple(ix)], g[tuple(ix)]  # views: updates land in src and g
+        y = digits.get(s.shape) or digits.setdefault(s.shape, np.indices(s.shape, sparse=True))
+        t = axis[op.targets[0]]
+        if op.kind == "zpow":
+            ph *= gates.z_phases(d, op.power)[y[t]]
         elif op.kind == "diag":
-            ph *= _along(np.exp(1j * np.array(op.phases)), tax[0], ph.ndim)
-        elif op.kind == "scalar":
-            ph *= np.exp(1j * op.phase)
-        elif op.kind == "swap":
-            s[...] = s.swapaxes(*tax).copy()
-            ph[...] = ph.swapaxes(*tax).copy()
-        else:  # cpow, no level so s is src: base^(j*power) on control level j
-            grid = grid or [_along(j, i, k) for i in range(k)]
-            rows, cols = grid[axis[op.controls[0]]], grid[tax[0]]
-            if op.base == "x":
-                idx = grid.copy()
-                idx[tax[0]] = (cols - rows * op.power) % d
-                src, g = src[tuple(idx)], g[tuple(idx)]
+            ph *= np.exp(1j * np.array(op.phases))[y[t]]
+        elif op.kind == "cpow" and op.base == "z":
+            ph *= gates.omega(d) ** ((y[axis[op.controls[0]]] * y[t] * op.power) % d)
+        else:  # xpow, swap or an x-based cpow: a permutation of y
+            idx = list(y)
+            if op.kind == "swap":
+                u = axis[op.targets[1]]
+                idx[t], idx[u] = y[u], y[t]
+            elif op.kind == "xpow":
+                idx[t] = (y[t] - op.power) % d
             else:
-                g *= gates.omega(d) ** ((rows * cols * op.power) % d)
+                idx[t] = (y[t] - op.power * y[axis[op.controls[0]]]) % d
+            s[...], ph[...] = s[tuple(idx)], ph[tuple(idx)]
     return src.reshape(-1), g.reshape(-1)
 
 
@@ -646,6 +632,7 @@ def gate_counts(d: int, n: int) -> GateCounts:
     only and is never executed.
     """
     _check_dim(d)
+    _check_int(n, "party count")
     if n < 1:
         raise ValueError(f"party count must be >= 1, got {n}")
     ne2q = 4 * n

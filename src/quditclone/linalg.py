@@ -6,6 +6,7 @@ wires (first wire = most significant base-d digit). All functions are
 pure; the small dataclasses below are immutable after construction.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,13 @@ def _check_state_size(d: int, wires: int, what: str) -> None:
         )
 
 
+def _check_int(x, what: str) -> None:
+    if not isinstance(x, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+
+
 def _check_dim(d: int) -> None:
+    _check_int(d, "qudit dimension")
     if d < 2:
         raise ValueError(f"qudit dimension must be >= 2, got {d}")
     _check_operator_dim(d, "qudit")

@@ -57,6 +57,7 @@ from .linalg import (
     SizeCapError,
     StateVector,
     _check_dim,
+    _check_int,
     _check_operator_dim,
     _check_state_size,
     column_sparse_form,
@@ -84,6 +85,8 @@ class ProtocolParams:
 
     def __post_init__(self):
         _check_dim(self.d)
+        _check_int(self.n, "party count")
+        _check_int(self.target_party, "target party")
         if self.n < 1:
             raise ValueError(f"party count must be >= 1, got {self.n}")
         if not 1 <= self.target_party <= self.n:

@@ -40,7 +40,7 @@ from quditclone import (
 )
 from quditclone import circuits, protocol
 from quditclone.cazac import chu
-from quditclone.circuits import _apply_ops, _runs, _tbar_dag_ops, _tbar_ops
+from quditclone.circuits import KINDS, _apply_ops, _runs, _tbar_dag_ops, _tbar_ops
 from quditclone.gates import bell_basis
 
 TOL = 1e-10
@@ -539,6 +539,97 @@ def test_circuit_serialization_round_trip_fields():
         assert set(entry) == {"kind", "params", "targets", "controls", "control_levels"}
     swaps = [e for e in data if e["kind"] == "swap"]
     assert swaps and swaps[0]["targets"] == ["S1", "N1"]
+
+
+def test_to_dict_pins_every_kind():
+    assert KINDS == ("xpow", "zpow", "fourier", "fourier_dag", "diag", "cpow", "swap", "scalar")
+    lv = {"controls": ("c",), "control_levels": (1,)}
+    cases = [
+        (GateOp(kind="xpow", power=2, targets=("t",), **lv),
+         {"kind": "xpow", "params": {"power": 2}, "targets": ["t"],
+          "controls": ["c"], "control_levels": [1]}),
+        (GateOp(kind="zpow", power=1, targets=("t",), **lv),
+         {"kind": "zpow", "params": {"power": 1}, "targets": ["t"],
+          "controls": ["c"], "control_levels": [1]}),
+        (GateOp(kind="fourier", targets=("t",)),
+         {"kind": "fourier", "params": {}, "targets": ["t"],
+          "controls": [], "control_levels": []}),
+        (GateOp(kind="fourier_dag", targets=("t",)),
+         {"kind": "fourier_dag", "params": {}, "targets": ["t"],
+          "controls": [], "control_levels": []}),
+        (GateOp(kind="diag", phases=(0.5, -0.25), targets=("t",), **lv),
+         {"kind": "diag", "params": {"phases": [0.5, -0.25]}, "targets": ["t"],
+          "controls": ["c"], "control_levels": [1]}),
+        (GateOp(kind="cpow", base="z", power=2, targets=("t",), controls=("c",)),
+         {"kind": "cpow", "params": {"base": "z", "power": 2}, "targets": ["t"],
+          "controls": ["c"], "control_levels": []}),
+        (GateOp(kind="swap", targets=("t", "u"), **lv),
+         {"kind": "swap", "params": {}, "targets": ["t", "u"],
+          "controls": ["c"], "control_levels": [1]}),
+        (GateOp(kind="scalar", phase=0.75, controls=("c", "e"), control_levels=(1, 2)),
+         {"kind": "scalar", "params": {"phase": 0.75}, "targets": [],
+          "controls": ["c", "e"], "control_levels": [1, 2]}),
+    ]
+    assert [op.kind for op, _ in cases] == list(KINDS)
+    for op, want in cases:
+        # json.dumps keeps key order, which circuit-dump writes as it is
+        assert json.dumps(op.to_dict()) == json.dumps(want), op.kind
+
+
+def test_level_controlled_gates_match_dense_before_and_after_their_targets():
+    # control wire c on level lv before the targets, then after them; the
+    # scalar gets a spectator wire t so that both cases exist for it too
+    d = 3
+    eye = np.eye(d)
+    swap = np.eye(d * d)[[b * d + a for a in range(d) for b in range(d)]]
+    cases = [
+        (GateOp(kind="xpow", power=2, targets=("t",)), x_power(d, 2), ("t",)),
+        (GateOp(kind="zpow", power=1, targets=("t",)), z_power(d, 1), ("t",)),
+        (GateOp(kind="diag", phases=(0.3, -1.1, 2.0), targets=("t",)),
+         np.diag(np.exp(1j * np.array([0.3, -1.1, 2.0]))), ("t",)),
+        (GateOp(kind="scalar", phase=0.7), np.exp(0.7j) * eye, ("t",)),
+        (GateOp(kind="swap", targets=("t", "u")), swap, ("t", "u")),
+    ]
+    for base, gate, wires in cases:
+        rest = np.eye(len(gate))
+        for lv in range(d):
+            p = np.zeros((d, d))
+            p[lv, lv] = 1
+            op = GateOp(kind=base.kind, power=base.power, phases=base.phases,
+                        phase=base.phase, targets=base.targets,
+                        controls=("c",), control_levels=(lv,))
+            for order, want in (
+                (("c", *wires), kron_all([p, gate]) + kron_all([eye - p, rest])),
+                ((*wires, "c"), kron_all([gate, p]) + kron_all([rest, eye - p])),
+            ):
+                got = circuit_to_unitary(Circuit(Register(d, order), (op,)))
+                assert max_abs_diff(got, want) < 1e-14, (base.kind, lv, order)
+
+
+def test_bare_scalar_run_is_a_global_phase():
+    # a run of bare scalars spans no wire, so its gather table has one entry
+    for wires in (("a",), ("a", "b")):
+        circ = Circuit(Register(2, wires), (GateOp(kind="scalar", phase=1.0),
+                                           GateOp(kind="scalar", phase=0.5)))
+        want = np.exp(1.0j) * np.exp(0.5j) * np.eye(2 ** len(wires))
+        assert max_abs_diff(circuit_to_unitary(circ), want) < 1e-15
+
+
+def test_gateop_and_gate_counts_refuse_non_integers():
+    with pytest.raises(ValueError, match="gate power must be an integer"):
+        GateOp(kind="xpow", power=1.5, targets=("t",))
+    with pytest.raises(ValueError, match="gate power must be an integer"):
+        GateOp(kind="zpow", power=0.5, targets=("t",))
+    with pytest.raises(ValueError, match="gate power must be an integer"):
+        GateOp(kind="cpow", power=1.5, targets=("t",), controls=("c",))
+    with pytest.raises(ValueError, match="control level must be an integer"):
+        GateOp(kind="xpow", power=1, targets=("t",), controls=("c",), control_levels=(1.0,))
+    with pytest.raises(ValueError, match="party count must be an integer"):
+        gate_counts(3, 2.5)
+    # numpy integers are integers
+    op = GateOp(kind="xpow", power=np.int64(2), targets=("t",),
+                controls=("c",), control_levels=(np.int32(1),))
+    assert op.power == 2 and gate_counts(np.int64(3), np.int64(2)) == gate_counts(3, 2)
 
 
 def test_gate_counts_frozen_rows():

@@ -23,6 +23,12 @@ def ket(d, *digits):
     return basis_state(Register(d, tuple(f"w{i}" for i in range(len(digits)))), digits)
 
 
+def test_gates_refuse_a_non_integer_dimension():
+    with pytest.raises(ValueError, match="qudit dimension must be an integer"):
+        fourier(2.5)
+    assert max_abs_diff(fourier(np.int64(3)), fourier(3)) == 0
+
+
 def test_shift_x_is_pauli_x_for_d2():
     assert max_abs_diff(shift_x(2), np.array([[0, 1], [1, 0]])) == 0
 

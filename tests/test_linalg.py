@@ -39,6 +39,12 @@ def test_register_rejects_degenerate_and_duplicates():
         Register(3, ("A", "A"))
 
 
+def test_register_refuses_a_non_integer_dimension():
+    with pytest.raises(ValueError, match="qudit dimension must be an integer"):
+        Register(2.0, ("a",))
+    assert Register(np.int64(2), ("a",)).dim == 2
+
+
 def test_kron_identity():
     assert max_abs_diff(kron(np.eye(2), np.eye(2)), np.eye(4)) == 0
 

@@ -613,6 +613,16 @@ def test_protocol_params_validation():
         ProtocolParams(4, 6)  # operator would need 4^7 = 16384
 
 
+def test_protocol_params_refuse_non_integers():
+    with pytest.raises(ValueError, match="qudit dimension must be an integer"):
+        ProtocolParams(2.5, 1)
+    with pytest.raises(ValueError, match="party count must be an integer"):
+        ProtocolParams(3, 2.0)
+    with pytest.raises(ValueError, match="target party must be an integer"):
+        ProtocolParams(3, 2, target_party=1.0)
+    assert ProtocolParams(np.int64(3), np.int64(2), np.int64(2)) == ProtocolParams(3, 2, 2)
+
+
 def test_run_protocol_state_cap():
     with pytest.raises(SizeCapError):
         run_protocol(ProtocolParams(2, 11), seed=0)  # 2^23 amplitudes
