@@ -257,21 +257,6 @@ class _Gather(NamedTuple):
             y *= self.g[:, None]
 
 
-# A single-axis product is batched, one matrix product per leading index,
-# when at least _BATCHED_MIN_TRAIL amplitudes trail the axis, or when more
-# than one trails it on a tensor of more than _ONE_PRODUCT_MAX_SIZE
-# amplitudes. Otherwise one product on the transposed tensor is faster.
-# Medians of 400 interleaved calls on a 2-vCPU host with 2 OpenBLAS
-# threads, batched against one product, (lead, d, trail): (81, 3, 9) 35
-# against 16 us, (64, 2, 16) 23 against 13; (243, 3, 27) 111 against 237,
-# (625, 5, 25) 0.40 against 1.3 ms, (1296, 6, 36) 1.1 against 3.9 ms.
-# (256, 4, 16) is near even (107 against 82 us), but the one product there
-# took 7.9 ms in 5% of calls, when OpenBLAS split it over its threads. With
-# the axis last, the one product is faster: (4096, 64, 1) 2.1 against 7.9 ms.
-_BATCHED_MIN_TRAIL = 64
-_ONE_PRODUCT_MAX_SIZE = 4096
-
-
 class _Product(NamedTuple):
     """A compiled one-wire stretch: one product with its d x d matrix ``m``."""
 
@@ -284,18 +269,16 @@ class _Product(NamedTuple):
         ``x`` is C-contiguous and shares no memory with ``out``.
         """
         p = self.position
-        lead, trail = math.prod(x.shape[:p]), math.prod(x.shape[p + 1:])
-        if trail >= _BATCHED_MIN_TRAIL or (trail > 1 and x.size > _ONE_PRODUCT_MAX_SIZE):
+        lead, d, trail = math.prod(x.shape[:p]), x.shape[p], math.prod(x.shape[p + 1:])
+        if trail > 1:
             # one matrix product per leading index, on contiguous blocks
-            shape = (lead, x.shape[p], trail)
+            shape = (lead, d, trail)
             np.matmul(self.m, x.reshape(shape), out=out.reshape(shape))
-            return
-        # bring the axis to the front, act with one matrix product, then
-        # undo the permutation
-        perm = [p] + [i for i in range(x.ndim) if i != p]
-        t = x.transpose(perm)
-        res = (self.m @ t.reshape(len(self.m), -1)).reshape(t.shape)
-        out[...] = res.transpose(sorted(range(len(perm)), key=perm.__getitem__))
+        else:
+            # the axis last: one product of the (lead, d) rows with m^T; a
+            # batch of lead matrix-vector products is slower, (4096, 64, 1)
+            # 7.9 against 1.9 ms on a 2-vCPU Xeon with 2 OpenBLAS threads
+            np.matmul(x.reshape(lead, d), self.m.T, out=out.reshape(lead, d))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

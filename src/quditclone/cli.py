@@ -1,9 +1,18 @@
 """Command-line front end: verify, run, counts, autocorr, circuit-dump.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration,
-size-cap or out-of-memory error. Reports are deterministic for a fixed
-flag set and seed; wall-clock timings are only emitted when --timings
-is passed, since they would break byte-identical output.
+size-cap or out-of-memory error.
+
+For a fixed flag set and seed, exit codes, verdicts (``passed``), keys
+and non-float fields are the same on every BLAS build, kernel and
+thread count. The bytes of ``verify``, ``counts``, ``autocorr`` and
+``circuit-dump`` repeat on one BLAS configuration only: the OpenBLAS
+thread count is known to change printed floats of ``verify``, and its
+Sandybridge and Prescott kernels those of ``verify`` and
+``circuit-dump``. The float
+fields of ``run`` are promised to within a few ulps of 1, not byte for
+byte. Wall-clock timings are only emitted when --timings is passed,
+since they vary between runs.
 
 Only this module turns results into bytes. Each command computes and
 checks everything, then hands one payload to ``_write``, so a refused

@@ -24,9 +24,9 @@ nonzero per column, as every Pauli product is, in O(D^2), and
 checks has d nonzeros per column, which ``is_unitary`` reads its
 deviation from. V(P_Z) is diagonal, so V(P_X) V(P_Z) is V(P_X) with its
 columns scaled by that diagonal, and the SWAP . C head of the decryption,
-an exact permutation, is a scatter of the projector sum's d^2 row
-blocks, O(D^2) each. Its sampled checks are batched over their samples;
-the relay and the head's pair are plain d^2 x d^2 matmuls.
+an exact permutation stated by its index map, is a scatter of the
+projector sum's d^2 row blocks, O(D^2) each. Its sampled checks are
+batched over their samples; the relay is a plain d^2 x d^2 matmul.
 
 A run orders its wires [A, S_j (j != t).., S_t, N_t, N_j (j != t)..]
 (``_run_register``), so that encryption's wires lead and decryption's
@@ -72,11 +72,10 @@ class ProtocolParams:
     """Dimension d, party count n and the share receiving the state.
 
     Admits a (d, n) whose d^(2n+1)-amplitude state fits the state cap (at
-    n = 1, d <= 161). Besides the state and one spare buffer of its size
-    (and, on a state of at most 4096 amplitudes, a product's transposed
-    copies), a run forms no object larger than one pass's gather table,
-    d^k entries for the k wires the pass touches: at most d^(n+1), 25,921
-    at (161, 1). Dense oracles cap their own size.
+    n = 1, d <= 161). Besides the state and one spare buffer of its size,
+    a run forms no object larger than one pass's gather table, d^k entries
+    for the k wires the pass touches: at most d^(n+1), 25,921 at (161, 1).
+    Dense oracles cap their own size.
     """
 
     d: int
@@ -263,18 +262,19 @@ def u_dec_dense(params: ProtocolParams) -> np.ndarray:
     return _head_times(params.d, dec_projector_sum(params))
 
 
-def _head_times(d: int, a: np.ndarray) -> np.ndarray:
-    """(SWAP . C on the pair x I) A, as a scatter of A's d^2 row blocks.
+def _head_times(d: int, m: np.ndarray) -> np.ndarray:
+    """(SWAP . C on the pair x I) M, as a scatter of M's d^2 row blocks.
 
-    SWAP . C, a plain d^2 x d^2 matmul of two exact permutations, sends
-    |j> to |r_j> on the pair, so row block r_j of the product is row
-    block j of A, and no D x D head is made.
+    C sends |a, c> to |a - 2c, -c> (``c_gate``), so SWAP . C sends |a, c>
+    to |-c, a - 2c>: row block r_j of the product is row block j of M,
+    and neither a d^2 x d^2 head nor a D x D one is made.
     """
-    (rows,), _ = column_sparse_form(gates.swap_gate(d) @ c_gate(d))
-    blocks = a.reshape(d * d, -1)
+    a, c = np.divmod(np.arange(d * d), d)
+    rows = (-c % d) * d + (a - 2 * c) % d
+    blocks = m.reshape(d * d, -1)
     out = np.empty_like(blocks)
     out[rows] = blocks
-    return out.reshape(a.shape)
+    return out.reshape(m.shape)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -513,3 +515,79 @@ print(json.dumps([on_import, code, scipy_modules()]))
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], 0, []]
+
+
+_CONTRACT_ARGVS = [
+    ["verify", "--d-range", "2..6"],
+    ["run", "--d", "3", "--n", "2", "--seed", "7"],
+    ["run", "--d", "2", "--n", "1"],
+    ["circuit-dump", "udec", "--d", "3", "--n", "2"],
+]
+_CONTRACT_SCRIPT = """
+import contextlib, io, json, sys
+import quditclone.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = quditclone.cli.main(argv)
+    results.append([code, json.loads(out.getvalue())])
+print(json.dumps(results))
+"""
+
+
+def _without_floats(value):
+    """A JSON value with every float replaced by None: what no BLAS setting may change."""
+    if isinstance(value, float):
+        return None
+    if isinstance(value, dict):
+        return {k: _without_floats(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_without_floats(v) for v in value]
+    return value
+
+
+@pytest.fixture(scope="module")
+def contract_reference():
+    results = []
+    for argv in _CONTRACT_ARGVS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(list(argv))
+        results.append([code, json.loads(out.getvalue())])
+    return results
+
+
+@pytest.mark.parametrize("name, value, needs", [
+    ("OPENBLAS_NUM_THREADS", "1", None),
+    ("OPENBLAS_NUM_THREADS", "2", None),
+    ("OPENBLAS_CORETYPE", "Haswell", "avx2"),
+    ("OPENBLAS_CORETYPE", "Sandybridge", "avx"),
+])
+def test_exit_codes_verdicts_and_keys_hold_under_every_blas_setting(
+        name, value, needs, contract_reference):
+    # the output contract's BLAS-invariant part: floats may change with the
+    # BLAS thread count or kernel, exit codes, verdicts, keys and every
+    # other field may not. Only the child process's environment changes.
+    if name == "OPENBLAS_CORETYPE":
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+            pytest.skip(f"numpy's BLAS ({blas.get('name')}) is not a DYNAMIC_ARCH OpenBLAS, "
+                        f"so {name} selects no kernel")
+        try:
+            cpu_flags = set(Path("/proc/cpuinfo").read_text().split())
+        except OSError:
+            cpu_flags = set()
+        if needs not in cpu_flags:
+            pytest.skip(f"/proc/cpuinfo lists no {needs}, which the {value} kernel needs")
+    src = str(Path(quditclone.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONTRACT_SCRIPT, json.dumps(_CONTRACT_ARGVS)],
+        env={**os.environ, "PYTHONPATH": src, name: value},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    verdicts = [(code, report.get("passed")) for code, report in results]
+    assert verdicts == [(0, True), (0, True), (1, False), (0, None)]
+    assert _without_floats(results) == _without_floats(contract_reference)

@@ -324,15 +324,16 @@ def test_state_vector_refuses_non_finite_and_overflowing_entries():
 
 
 def test_single_axis_products_agree_with_einsum():
-    # a compiled product pass, batched or transposed, writes its result
-    # into out; the axis last takes the transposed product at any size, and
-    # an axis third tells the inverse permutation from the forward one
+    # a compiled product pass writes its result into out: batched when more
+    # than one amplitude trails the axis, one product with m^T when the axis
+    # comes last, with or without the length-1 trailing axis _apply_ops adds
     from quditclone.circuits import _Product
 
     rng = np.random.default_rng(67)
     for shape, p in (((2, 3, 4), 1), ((36, 6, 36), 1), ((3, 9, 3), 1), ((25, 5), 1),
                      ((2, 2, 64), 1), ((4, 3, 5), 0), ((1296, 6, 6), 1),
-                     ((1024, 5), 1), ((2, 3, 4, 5), 2)):
+                     ((1024, 5), 1), ((2, 3, 4, 5), 2), ((64, 8, 1), 1), ((1, 5, 7), 1),
+                     ((1, 7, 1), 1)):
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         m = random_matrix(rng, shape[p])
         want = np.moveaxis(np.tensordot(m, t, axes=([1], [p])), 0, p)

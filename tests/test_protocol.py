@@ -903,7 +903,7 @@ def test_run_protocol_peak_memory_is_about_two_states():
     # the run owns its tensor and one spare; nothing else is state-sized
     import tracemalloc
 
-    for d, n in ((4, 4), (6, 3)):
+    for d, n in ((4, 4), (6, 3), (64, 1)):
         params = ProtocolParams(d, n, target_party=n)
         state_bytes = 16 * d ** (2 * n + 1)
         for decrypt_with_circuit in (False, True):
@@ -914,5 +914,6 @@ def test_run_protocol_peak_memory_is_about_two_states():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert report.passed
+            # one share cannot hide the state (the known n = 1 leak)
+            assert report.decryption_ok and (report.secrecy_ok or n == 1)
             assert peak <= 2.5 * state_bytes, (d, n, decrypt_with_circuit, peak / state_bytes)
