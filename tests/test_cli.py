@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import os
 import subprocess
@@ -547,15 +545,21 @@ def _without_floats(value):
     return value
 
 
+def _contract_results(env):
+    """[exit code, parsed stdout] of each contract command, run in a child with ``env`` added."""
+    src = str(Path(quditclone.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONTRACT_SCRIPT, json.dumps(_CONTRACT_ARGVS)],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 @pytest.fixture(scope="module")
 def contract_reference():
-    results = []
-    for argv in _CONTRACT_ARGVS:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(list(argv))
-        results.append([code, json.loads(out.getvalue())])
-    return results
+    return _contract_results({})
 
 
 @pytest.mark.parametrize("name, value, needs", [
@@ -580,14 +584,7 @@ def test_exit_codes_verdicts_and_keys_hold_under_every_blas_setting(
             cpu_flags = set()
         if needs not in cpu_flags:
             pytest.skip(f"/proc/cpuinfo lists no {needs}, which the {value} kernel needs")
-    src = str(Path(quditclone.__file__).parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", _CONTRACT_SCRIPT, json.dumps(_CONTRACT_ARGVS)],
-        env={**os.environ, "PYTHONPATH": src, name: value},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    results = json.loads(proc.stdout)
+    results = _contract_results({name: value})
     verdicts = [(code, report.get("passed")) for code, report in results]
     assert verdicts == [(0, True), (0, True), (1, False), (0, None)]
     assert _without_floats(results) == _without_floats(contract_reference)
