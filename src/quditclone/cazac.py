@@ -49,10 +49,12 @@ def zadoff_chu(d: int, u: int, q: int) -> ChuSequence:
     _check_dim(d)
     if math.gcd(u, d) != 1:
         raise ValueError(f"zadoff_chu: gcd(u={u}, d={d}) must be 1")
-    k = np.arange(d)
-    cf = d % 2
-    vals = np.exp(-1j * np.pi * u * k * (k + cf + 2 * q) / d)
-    return ChuSequence(d, u, q, vals)
+    return ChuSequence(d, u, q, _zc(np.arange(d), d, u, q))
+
+
+def _zc(k, d: int, u: int = 1, q: int = 0) -> np.ndarray:
+    """exp(-i pi u k (k + d%2 + 2q) / d) at the integers ``k``, any of them."""
+    return np.exp(-1j * np.pi * u * k * (k + d % 2 + 2 * q) / d)
 
 
 def chu(d: int) -> ChuSequence:
@@ -96,10 +98,6 @@ def gauss_sum(d: int, m: int) -> complex:
     _check_dim(d)
     if not 0 <= m < d:
         raise ValueError(f"m {m} out of range for d={d}")
-    cf = d % 2
     j = np.arange(d)
-    terms = np.exp(-1j * np.pi * (j + m) * ((j + m) + cf) / d) * np.exp(
-        1j * np.pi * j * (j + cf) / d
-    )
-    return complex(np.sum(terms))
+    return complex(np.sum(_zc(j + m, d) * np.conj(_zc(j, d))))
 

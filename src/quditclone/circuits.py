@@ -13,18 +13,18 @@ run's own buffer; ``circuit_to_unitary`` expands a circuit into a dense
 matrix for comparison with the paper's operator formulas. All three
 evaluate the same way, in two pass shapes over the whole tensor: every
 gate kind except the two Fourier gates is monomial (a permutation of
-basis states times phases), so each maximal run of such gates is one
-gather and one phase multiply over its span, the wires from the first it
-touches to the last; each maximal stretch of uncontrolled gates on one
-wire that holds a Fourier gate is one d x d product on that wire. On
-its control slice, each monomial gate is a phase (zpow, diag, z-based
-cpow, scalar) or an index map (xpow, swap, x-based cpow) of the slice's
-digits; one table, ``_KINDS``, states each kind's targets and
-parameters. A circuit is compiled into these passes on its first
-evaluation and keeps them, read-only, so evaluating it again only
-executes them. A gather table has d^k entries for the k wires of its
-span, at most d^(n+1) for the protocol circuits, far below the
-d^(2n+1)-amplitude state they run on.
+basis states times phases). Each maximal stretch of uncontrolled gates
+on one wire that holds a Fourier gate is one d x d product on that wire;
+the gates between such stretches are all monomial, so each maximal run
+of them is one gather and one phase multiply over its span, the wires
+from the first it touches to the last. On its control slice, each
+monomial gate is a phase (zpow, diag, z-based cpow, scalar) or an index
+map (xpow, swap, x-based cpow) of the slice's digits; one table,
+``_KINDS``, states each kind's targets and parameters. A circuit is
+compiled into these passes on its first evaluation and keeps them,
+read-only, so evaluating it again only executes them. A gather table
+has d^k entries for the k wires of its span, at most d^(n+1) for the
+protocol circuits, far below the d^(2n+1)-amplitude state they run on.
 
 Encryption has two forms of the same operator V(P_X) V(P_Z): the
 paper-literal ``build_vpz_circuit`` and ``build_vpx_circuit``, whose
@@ -41,6 +41,7 @@ literal one under ``--circuit``; ``circuit-dump udec`` prints the literal
 one.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,30 +165,23 @@ def _bare_wire(op: GateOp) -> str | None:
 
 
 def _runs(ops) -> list[list[GateOp]]:
-    """Split ``ops`` into passes: maximal monomial runs and one-wire stretches.
+    """Split ``ops`` into passes: one-wire stretches with a Fourier gate, and monomial runs.
 
-    A run is either all monomial or confined to one bare wire: a maximal
-    stretch of uncontrolled gates on one wire that holds a Fourier gate
-    is one pass, its d x d product, and never takes in a gate on another
-    wire or with a control.
+    Consecutive gates are grouped by ``_bare_wire``: a group is a maximal
+    stretch of uncontrolled gates on one wire, or a maximal stretch of
+    the other gates. A group that holds a Fourier gate is one pass, its
+    d x d product; every other group joins the monomial run before it,
+    or starts one after a product.
     """
     runs: list[list[GateOp]] = []
-    bare = None  # the last run's wire while every gate of it is bare on that wire
-    dense = False  # whether the last run holds a Fourier gate
-    for op in ops:
-        if runs and (dense or op.kind in _DENSE_KINDS):
-            if bare is not None and _bare_wire(op) == bare:
-                runs[-1].append(op)
-                dense = True
-                continue
-        elif runs:
-            runs[-1].append(op)
-            if _bare_wire(op) != bare:
-                bare = None
-            continue
-        runs.append([op])
-        bare = _bare_wire(op)
-        dense = op.kind in _DENSE_KINDS
+    dense = True  # whether the last run is a product; a first group starts a run
+    for _, group in itertools.groupby(ops, _bare_wire):
+        group = list(group)
+        after_dense, dense = dense, any(op.kind in _DENSE_KINDS for op in group)
+        if after_dense or dense:
+            runs.append(group)
+        else:
+            runs[-1] += group
     return runs
 
 

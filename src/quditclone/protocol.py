@@ -45,7 +45,7 @@ density matrices, inner products) live in ``tests/conftest.py``.
 
 import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -539,12 +539,7 @@ class IdentityCheck:
         return bool(self.max_deviation <= self.tolerance)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass
@@ -560,14 +555,8 @@ class IdentitySuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {**asdict(self), "passed": self.passed,
+                "checks": [c.to_dict() for c in self.checks]}
 
 
 def _check_ricochet(d, rng, samples):

@@ -372,8 +372,11 @@ def test_protocol_circuits_compile_to_pinned_passes():
             assert _pass_shapes(build_enc_factored(d, n)) == [full, product, full]
             for t in sorted({1, n}):
                 params = ProtocolParams(d, n, t)
+                # at n = 1, diag(N1) stands just before F^dag on N1 and joins
+                # its product, leaving diag(S1) alone in the middle gather
+                middle = ("gather", d) if n == 1 else full
                 assert _pass_shapes(build_udec_factored(params)) == [
-                    pair, product, full, product, pair]
+                    pair, product, middle, product, pair]
                 assert _pass_shapes(build_udec_circuit(params)) == [
                     pair, product, full, product, pair, product, pair]
     assert admitted == 19
@@ -448,6 +451,20 @@ def test_one_wire_stretch_is_one_pass():
     # nor does a stretch take in a gate on its wire that has a control
     cz = GateOp(kind="zpow", power=1, targets=("a",), controls=("b",), control_levels=(1,))
     assert _runs(stretch + [cz]) == [stretch, [cz]]
+
+
+def test_bare_gate_before_a_fourier_gate_joins_its_product():
+    # passes group gates by their bare wire: a bare Z on a, after a CX that
+    # a monomial run could take it into, goes with the Fourier gate on a
+    d = 3
+    reg = Register(d, ("a", "b"))
+    cx = GateOp(kind="cpow", base="x", power=1, controls=("a",), targets=("b",))
+    za = GateOp(kind="zpow", power=1, targets=("a",))
+    fa = GateOp(kind="fourier", targets=("a",))
+    assert _runs([cx, za, fa]) == [[cx], [za, fa]]
+    want = np.kron(fourier(d) @ z_power(d, 1), np.eye(d)) @ controlled_power(shift_x(d), d)
+    got = circuit_to_unitary(Circuit(reg, (cx, za, fa)))
+    assert max_abs_diff(got, want) < 1e-14
 
 
 def test_thirteen_wire_ladder_is_one_pass():
