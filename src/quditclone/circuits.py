@@ -9,7 +9,7 @@ level j); that is how the level-controlled gates of the decryption
 circuit are expressed; the Fourier gates take no controls.
 ``apply_circuit`` runs a circuit on a copy of a state vector;
 ``run_protocol`` executes the same passes with ``_apply_ops`` on the
-run's own buffer; ``circuit_to_unitary`` expands a circuit into a dense
+run's two buffers; ``circuit_to_unitary`` expands a circuit into a dense
 matrix for comparison with the paper's operator formulas. All three
 evaluate the same way, in two pass shapes over the whole tensor: every
 gate kind except the two Fourier gates is monomial (a permutation of
@@ -319,8 +319,10 @@ def _compile(circuit: Circuit) -> tuple:
     return tuple(passes)
 
 
-def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register) -> np.ndarray:
-    """Left-multiply the circuit's compiled passes, in order, into ``t``; return the result.
+def _apply_ops(
+    t: np.ndarray, circuit: Circuit, reg: Register, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Left-multiply the circuit's compiled passes, in order, into ``t``.
 
     ``t`` is C-contiguous with one axis per wire of ``reg``, optionally
     followed by a column axis, and is the caller's to overwrite. The
@@ -329,9 +331,10 @@ def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register) -> np.ndarray:
     block of ``reg``, the passes act on ``t`` in place of that block,
     with every other wire folded into the lead and trail axes; otherwise
     they act on a copy of ``t`` transposed so that the circuit's wires
-    lead. Each pass writes the whole tensor into a second buffer, and the
-    two then swap roles, so a circuit allocates at most one buffer
-    besides ``t`` or its transposed copy.
+    lead. Each pass writes the whole tensor into ``spare``, a C-contiguous
+    buffer of ``t``'s size whose entries are never read, and the two then
+    swap roles. Returns the result and, flat, the buffer left free; only
+    the transposed copy is allocated here.
     """
     d, k = reg.d, circuit.register.num_wires
     pos = reg.positions(circuit.register.wires)
@@ -340,13 +343,12 @@ def _apply_ops(t: np.ndarray, circuit: Circuit, reg: Register) -> np.ndarray:
         perm = [*pos, *(i for i in range(t.ndim) if i not in pos)]
         t = np.ascontiguousarray(t.transpose(perm))
     x = t.reshape(d ** (0 if perm else pos[0]), *[d] * k, -1)
-    spare = None
+    spare = spare.reshape(x.shape)
     for p in circuit._passes:
-        out = np.empty_like(x) if spare is None else spare
-        p.apply(x, out)
-        x, spare = out, x
+        p.apply(x, spare)
+        x, spare = spare, x
     x = x.reshape(t.shape)
-    return x if perm is None else x.transpose(np.argsort(perm))
+    return (x if perm is None else x.transpose(np.argsort(perm))), spare.reshape(-1)
 
 
 def circuit_to_unitary(circuit: Circuit) -> np.ndarray:
@@ -355,7 +357,7 @@ def circuit_to_unitary(circuit: Circuit) -> np.ndarray:
     dim = reg.dim
     _check_operator_dim(dim, "circuit register")
     t = np.eye(dim, dtype=complex).reshape([reg.d] * reg.num_wires + [dim])
-    return _apply_ops(t, circuit, reg).reshape(dim, dim)
+    return _apply_ops(t, circuit, reg, np.empty_like(t))[0].reshape(dim, dim)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
@@ -372,7 +374,8 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
             f"circuit dimension {circuit.register.d} does not match the state's {reg.d}"
         )
     reg.positions(circuit.register.wires)  # raises on a wire the state lacks
-    return StateVector(reg, _apply_ops(state.tensor().copy(), circuit, reg))
+    t = state.tensor().copy()
+    return StateVector(reg, _apply_ops(t, circuit, reg, np.empty_like(t))[0])
 
 
 def q_entries(d: int) -> np.ndarray:

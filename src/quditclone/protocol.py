@@ -41,9 +41,17 @@ diagonal, so a run makes no transposed copy of the state per share and
 builds no second product state. The oracles that the tests compare the
 initial state and these scores against (the product state, reduced
 density matrices, inner products) live in ``tests/conftest.py``.
+
+A run's memory is two flat buffers of the state's size per thread
+(``_run_buffers``), kept across the thread's runs: the state and the
+spare that each pass writes into, which the scores then use for their
+products. A run no larger than an earlier one in its thread allocates
+nothing state-sized and so faults in no pages. After its largest run a
+thread keeps 2 x 16 x d^(2n+1) bytes, at most 128 MiB at the state cap.
 """
 
 import functools
+import threading
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -72,9 +80,10 @@ class ProtocolParams:
     """Dimension d, party count n and the share receiving the state.
 
     Admits a (d, n) whose d^(2n+1)-amplitude state fits the state cap (at
-    n = 1, d <= 161). Besides the state and one spare buffer of its size,
-    a run forms no object larger than one pass's gather table, d^k entries
-    for the k wires the pass touches: at most d^(n+1), 25,921 at (161, 1).
+    n = 1, d <= 161). A run works in its thread's two buffers of the
+    state's size, kept across runs (``_run_buffers``); besides them it
+    forms no object larger than one pass's gather table, d^k entries for
+    the k wires the pass touches: at most d^(n+1), 25,921 at (161, 1).
     Dense oracles cap their own size.
     """
 
@@ -340,22 +349,30 @@ def share_marginals(state: StateVector, n: int) -> list[np.ndarray]:
     tests check it against the reduced-density oracle of
     ``tests/conftest.py``.
     """
-    reg = state.register
+    return _share_marginals(state, n, None)
+
+
+def _share_marginals(state: StateVector, n: int, work: np.ndarray | None) -> list[np.ndarray]:
+    """``share_marginals`` with each batched product, d^(p+2) entries, in ``work`` if given."""
+    d = state.register.d
     out = []
-    for p in reg.positions([f"S{i}" for i in range(1, n + 1)]):
-        x = state.amplitudes.reshape(reg.d ** p, reg.d, -1)
-        out.append(np.vecdot(x[:, None], x[:, :, None]).sum(0))
+    for p in state.register.positions([f"S{i}" for i in range(1, n + 1)]):
+        x = state.amplitudes.reshape(d ** p, d, -1)
+        dots = None if work is None else work[:d ** (p + 2)].reshape(d ** p, d, d)
+        out.append(np.vecdot(x[:, None], x[:, :, None], out=dots).sum(0))
     return out
 
 
-def _bell_contract(x: np.ndarray, wires: list[str], pair) -> tuple[np.ndarray, list[str]]:
+def _bell_contract(x: np.ndarray, wires: list[str], pair, out) -> tuple[np.ndarray, list[str]]:
     """(<Phi| x I) on the pair's axes of a tensor with one axis per wire.
 
     <Phi| on (a, b) is (1/sqrt d) sum_c <c, c|, so this is the sum of the
-    pair's diagonal, a view, over d; both axes drop out of the result.
+    pair's diagonal, a view, over d; both axes drop out of the result,
+    which is written into the front of the flat buffer ``out``.
     """
     i, j = (wires.index(w) for w in pair)
-    y = np.diagonal(x, axis1=i, axis2=j).sum(-1)
+    diag = np.diagonal(x, axis1=i, axis2=j)
+    y = diag.sum(-1, out=out[:diag.size // x.shape[i]].reshape(diag.shape[:-1]))
     y *= 1 / np.sqrt(x.shape[i])
     return y, [w for w in wires if w not in pair]
 
@@ -372,18 +389,31 @@ def decryption_scores(
     fidelity |<closed|state>| goes on from the (A, N_t) contraction: <Phi|
     on every other (S_j, N_j), then the inner product with psi on S_t.
     """
+    work = np.empty(2 * state.amplitudes.size // params.d ** 2, dtype=complex)
+    return _decryption_scores(state, psi, params, work)
+
+
+def _decryption_scores(state, psi, params, work: np.ndarray) -> tuple[float, list[dict]]:
+    """``decryption_scores`` with its contractions in ``work``, two d^(2n-1)-entry halves.
+
+    The (A, N_t) contraction takes one half and each residual's the
+    other; the chain then alternates between them.
+    """
     t = params.target_party
     x = state.tensor()
     wires = list(state.register.wires)
     head = ("A", f"N{t}")
     others = [(f"S{j}", f"N{j}") for j in range(1, params.n + 1) if j != t]
-    y, rest = _bell_contract(x, wires, head)
+    half = x.size // params.d ** 2
+    a, b = work[:half], work[half:]
+    y, rest = _bell_contract(x, wires, head, a)
     residuals = [{"pair": list(head), "fidelity": float(np.vdot(y, y).real)}]
     for pair in others:
-        z, _ = _bell_contract(x, wires, pair)
+        z, _ = _bell_contract(x, wires, pair, b)
         residuals.append({"pair": list(pair), "fidelity": float(np.vdot(z, z).real)})
     for pair in others:
-        y, rest = _bell_contract(y, rest, pair)
+        y, rest = _bell_contract(y, rest, pair, b)
+        a, b = b, a
     return float(abs(np.vdot(psi.amplitudes, y))), residuals
 
 
@@ -399,20 +429,38 @@ def _run_register(d: int, n: int, t: int) -> Register:
     return Register(d, tuple(wires))
 
 
-def _prepare(d: int, n: int, psi: np.ndarray) -> np.ndarray:
+def _prepare(d: int, n: int, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
     """psi on A and a Bell pair on every (S_j, N_j), as a tensor on ``_run_register``.
 
     The amplitude is psi_a / sqrt(d^n) where every N_j's digit equals
     S_j's, and 0 elsewhere. In the run's order the N block's digits are
     the S block's rotated by one place, (s_t, s_j..) against (s_j.., s_t),
-    so the d^(n+1) nonzero entries are written into a zero tensor
-    directly. The tests check it against the product-state oracle of
-    ``tests/conftest.py``.
+    so the d^(n+1) nonzero entries are written directly into ``out``, a
+    flat buffer of d^(2n+1) entries, after it is zeroed. The tests check
+    it against the product-state oracle of ``tests/conftest.py``.
     """
-    x = np.zeros((d, d ** n, d ** n), dtype=complex)
+    x = out.reshape(d, d ** n, d ** n)
+    x.fill(0)
     s = np.arange(d ** n)
     x[:, s, (s % d) * d ** (n - 1) + s // d] = psi[:, None] / np.sqrt(d ** n)
     return x.reshape([d] * (2 * n + 1))
+
+
+_workspace = threading.local()
+
+
+def _run_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's two run buffers, ``size`` complex entries each.
+
+    They are kept across the thread's runs, so a run no larger than an
+    earlier one allocates no state-sized memory; a larger run drops the
+    old pair before it makes its own, so no thread holds more than two.
+    """
+    pair = getattr(_workspace, "pair", None)
+    if pair is None or pair[0].size < size:
+        pair = _workspace.pair = None
+        pair = _workspace.pair = (np.empty(size, dtype=complex), np.empty(size, dtype=complex))
+    return pair[0][:size], pair[1][:size]
 
 
 # Keys whose circuits a process keeps, compiled passes and all: (d, n)
@@ -462,15 +510,16 @@ def run_protocol(
     decryption run gate circuits on the state, decryption the factored
     circuit, or the paper-literal one when ``decrypt_with_circuit`` is
     set. The state lives on ``_run_register``, where both circuits act in
-    place: the run owns one tensor from prepare to score, and each circuit
-    passes it back and forth with one spare buffer, dropped before the
-    score. Both scores contract the state in place (``share_marginals``,
-    ``decryption_scores``): no reduced-density copy of the state, no pair
-    density matrix and no second product state is formed. The circuits
-    are target n's, built and compiled on the first run at a (d, n, path)
-    and reused at every target (``_enc_circuit``, ``_dec_circuit``); the
-    encryption is also shared by both paths. The run scores their
-    result under target t's wire names.
+    place. The run works in its thread's two buffers (``_run_buffers``),
+    kept across runs: it prepares the state in one, each circuit passes it
+    back and forth with the other, and the scores write their products
+    into whichever is free. Both scores contract the state in place
+    (``share_marginals``, ``decryption_scores``): no reduced-density copy
+    of the state, no pair density matrix and no second product state is
+    formed. The circuits are target n's, built and compiled on the first
+    run at a (d, n, path) and reused at every target (``_enc_circuit``,
+    ``_dec_circuit``); the encryption is also shared by both paths. The
+    run scores their result under target t's wire names.
     """
     d, n, t = params.d, params.n, params.target_party
     if psi is None:
@@ -484,27 +533,28 @@ def run_protocol(
     enc, udec = _enc_circuit(d, n), _dec_circuit(d, n, bool(decrypt_with_circuit))
     on = _run_register(d, n, n)  # the circuits' wire names
     reg = _run_register(d, n, t)
-    x = _prepare(d, n, psi.amplitudes)
+    buf, spare = _run_buffers(d ** (2 * n + 1))
+    x = _prepare(d, n, psi.amplitudes, buf)
     t1 = time.perf_counter()
     timings["prepare"] = (t1 - t0) * 1e3
 
-    x = circuits._apply_ops(x, enc, on)
+    x, spare = circuits._apply_ops(x, enc, on, spare)
     encrypted = StateVector(reg, x)
     t2 = time.perf_counter()
     timings["encrypt"] = (t2 - t1) * 1e3
 
     mixed = np.eye(d) / d
-    marginals = [max_abs_diff(rho, mixed) for rho in share_marginals(encrypted, n)]
+    marginals = [max_abs_diff(rho, mixed) for rho in _share_marginals(encrypted, n, spare)]
     t3 = time.perf_counter()
     timings["marginals"] = (t3 - t2) * 1e3
 
-    # x stays the run's own buffer: decryption may overwrite ``encrypted``
-    x = circuits._apply_ops(x, udec, on)
+    # decryption overwrites both buffers, and so ``encrypted``
+    x, spare = circuits._apply_ops(x, udec, on, spare)
     decrypted = StateVector(reg, x)
     t4 = time.perf_counter()
     timings["decrypt"] = (t4 - t3) * 1e3
 
-    fidelity, residuals = decryption_scores(decrypted, psi, params)
+    fidelity, residuals = _decryption_scores(decrypted, psi, params, spare)
     t5 = time.perf_counter()
     timings["verify"] = (t5 - t4) * 1e3
 

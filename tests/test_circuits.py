@@ -704,10 +704,15 @@ def test_circuit_on_an_in_order_block_matches_embedded_unitary():
         want = embed_apply(state, circuit_to_unitary(circ), (a, b, c))
         assert max_abs_diff(got.amplitudes, want.amplitudes) < 1e-12, offset
         assert np.array_equal(state.amplitudes, before)
-        # the caller's tensor may serve as one of the two buffers
+        # the caller's tensor serves as one of the two buffers, and no
+        # entry of the spare is read: a NaN there would reach the result
         t = state.tensor().copy()
-        out = _apply_ops(t, circ, reg)
-        assert max_abs_diff(out.reshape(-1), want.amplitudes) < 1e-12, offset
+        spare = np.full_like(t, np.nan)
+        out, free = _apply_ops(t, circ, reg, spare)
+        assert max_abs_diff(out.reshape(-1), got.amplitudes) < 1e-12, offset
+        # what comes back is the two buffers that went in, one of them free
+        for buf in (t, spare):
+            assert np.shares_memory(out, buf) != np.shares_memory(free, buf)
 
 
 def test_apply_circuit_without_passes_returns_a_copy():
