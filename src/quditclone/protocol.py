@@ -349,16 +349,17 @@ def share_marginals(state: StateVector, n: int) -> list[np.ndarray]:
     tests check it against the reduced-density oracle of
     ``tests/conftest.py``.
     """
-    return _share_marginals(state, n, None)
+    last = max(state.register.positions([f"S{i}" for i in range(1, n + 1)]))
+    return _share_marginals(state, n, np.empty(state.register.d ** (last + 2), dtype=complex))
 
 
-def _share_marginals(state: StateVector, n: int, work: np.ndarray | None) -> list[np.ndarray]:
-    """``share_marginals`` with each batched product, d^(p+2) entries, in ``work`` if given."""
+def _share_marginals(state: StateVector, n: int, work: np.ndarray) -> list[np.ndarray]:
+    """``share_marginals`` with the batched product of share axis p, d^(p+2) entries, in ``work``."""
     d = state.register.d
     out = []
     for p in state.register.positions([f"S{i}" for i in range(1, n + 1)]):
         x = state.amplitudes.reshape(d ** p, d, -1)
-        dots = None if work is None else work[:d ** (p + 2)].reshape(d ** p, d, d)
+        dots = work[:d ** (p + 2)].reshape(d ** p, d, d)
         out.append(np.vecdot(x[:, None], x[:, :, None], out=dots).sum(0))
     return out
 
