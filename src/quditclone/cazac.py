@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _check_dim, _check_state_size
+from .linalg import DEFAULT_TOL, _check_dim, _check_int, _check_state_size
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,7 @@ def gauss_sum(d: int, m: int) -> complex:
     unitary.
     """
     _check_dim(d)
+    _check_int(m, "gauss_sum shift m")
     if not 0 <= m < d:
         raise ValueError(f"m {m} out of range for d={d}")
     j = np.arange(d)

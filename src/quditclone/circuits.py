@@ -7,24 +7,27 @@ plus optional control wires, each with the level on which the base
 gate fires (a controlled power instead fires base^j on every control
 level j); that is how the level-controlled gates of the decryption
 circuit are expressed; the Fourier gates take no controls.
-``apply_circuit`` runs a circuit on a copy of a state vector;
-``run_protocol`` executes the same passes with ``_apply_ops`` on the
-run's two buffers; ``circuit_to_unitary`` expands a circuit into a dense
-matrix for comparison with the paper's operator formulas. All three
-evaluate the same way, in two pass shapes over the whole tensor: every
-gate kind except the two Fourier gates is monomial (a permutation of
-basis states times phases). Each maximal stretch of uncontrolled gates
-on one wire that holds a Fourier gate is one d x d product on that wire;
-the gates between such stretches are all monomial, so each maximal run
-of them is one gather and one phase multiply over its span, the wires
-from the first it touches to the last. On its control slice, each
-monomial gate is a phase (zpow, diag, z-based cpow, scalar) or an index
-map (xpow, swap, x-based cpow) of the slice's digits; one table,
-``_KINDS``, states each kind's targets and parameters. A circuit is
-compiled into these passes on its first evaluation and keeps them,
-read-only, so evaluating it again only executes them. A gather table
-has d^k entries for the k wires of its span, at most d^(n+1) for the
-protocol circuits, far below the d^(2n+1)-amplitude state they run on.
+One evaluator, ``_apply_ops``, executes a circuit in place on the block
+of axes its caller names, and never reorders a state: ``run_protocol``
+names each circuit's block of the run's two buffers;
+``circuit_to_unitary`` expands a circuit into a dense matrix, for
+comparison with the paper's operator formulas; ``apply_circuit``, whose
+state may hold the circuit's wires anywhere, moves them to the front of
+its one copy of the state. The evaluator has two pass shapes over the
+whole tensor: every gate kind except the two Fourier gates is monomial
+(a permutation of basis states times phases). Each maximal stretch of
+uncontrolled gates on one wire that holds a Fourier gate is one d x d
+product on that wire; the gates between such stretches are all monomial,
+so each maximal run of them is one gather and one phase multiply over
+its span, the wires from the first it touches to the last. On its
+control slice, each monomial gate is a phase (zpow, diag, z-based cpow,
+scalar) or an index map (xpow, swap, x-based cpow) of the slice's
+digits; one table, ``_KINDS``, states each kind's targets and
+parameters. A circuit is compiled into these passes on its first
+evaluation and keeps them, read-only, so evaluating it again only
+executes them. A gather table has d^k entries for the k wires of its
+span, at most d^(n+1) for the protocol circuits, far below the
+d^(2n+1)-amplitude state they run on.
 
 Encryption has two forms of the same operator V(P_X) V(P_Z): the
 paper-literal ``build_vpz_circuit`` and ``build_vpx_circuit``, whose
@@ -290,8 +293,8 @@ def _compile(circuit: Circuit) -> tuple:
     a run of bare scalars). A one-wire stretch with a Fourier gate is
     composed into its d x d matrix, each monomial gate of it as a row
     gather of the product so far. Positions count the lead axis and the
-    circuit's wires only, so the passes fit any register that holds
-    them. Every table is read-only.
+    circuit's wires only, so the passes fit any tensor that holds them
+    as one in-order block (``_apply_ops``). Every table is read-only.
     """
     d, wires = circuit.register.d, circuit.register.wires
     passes: list = []
@@ -320,62 +323,66 @@ def _compile(circuit: Circuit) -> tuple:
 
 
 def _apply_ops(
-    t: np.ndarray, circuit: Circuit, reg: Register, spare: np.ndarray
+    t: np.ndarray, circuit: Circuit, at: int, spare: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Left-multiply the circuit's compiled passes, in order, into ``t``.
 
-    ``t`` is C-contiguous with one axis per wire of ``reg``, optionally
-    followed by a column axis, and is the caller's to overwrite. The
-    passes were compiled once per circuit (``Circuit._passes``); here
-    they are only executed. When the circuit's wires are one in-order
-    block of ``reg``, the passes act on ``t`` in place of that block,
-    with every other wire folded into the lead and trail axes; otherwise
-    they act on a copy of ``t`` transposed so that the circuit's wires
-    lead. Each pass writes the whole tensor into ``spare``, a C-contiguous
-    buffer of ``t``'s size whose entries are never read, and the two then
-    swap roles. Returns the result and, flat, the buffer left free; only
-    the transposed copy is allocated here.
+    ``t`` is C-contiguous with one d axis per wire, optionally followed
+    by a column axis, and is the caller's to overwrite. The circuit's
+    wires are its axes from ``at`` on, one in-order block; the passes act
+    on that block in place, with every other axis folded into the lead
+    and trail axes. The passes were compiled once per circuit
+    (``Circuit._passes``); here they are only executed. Each pass writes
+    the whole tensor into ``spare``, a C-contiguous buffer of ``t``'s size
+    whose entries are never read, and the two then swap roles. Returns
+    the result and, flat, the buffer left free. Nothing is allocated here
+    but the scratch of numpy's broadcast multiply of a gather's phases,
+    at most ``np.getbufsize()`` entries.
     """
-    d, k = reg.d, circuit.register.num_wires
-    pos = reg.positions(circuit.register.wires)
-    perm = None
-    if pos != tuple(range(pos[0], pos[0] + k)):
-        perm = [*pos, *(i for i in range(t.ndim) if i not in pos)]
-        t = np.ascontiguousarray(t.transpose(perm))
-    x = t.reshape(d ** (0 if perm else pos[0]), *[d] * k, -1)
+    d, k = circuit.register.d, circuit.register.num_wires
+    x = t.reshape(d ** at, *[d] * k, -1)
     spare = spare.reshape(x.shape)
     for p in circuit._passes:
         p.apply(x, spare)
         x, spare = spare, x
-    x = x.reshape(t.shape)
-    return (x if perm is None else x.transpose(np.argsort(perm))), spare.reshape(-1)
+    return x.reshape(t.shape), spare.reshape(-1)
 
 
 def circuit_to_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit (ordered product of embedded gates)."""
+    """Dense unitary of the circuit (ordered product of embedded gates).
+
+    The identity's rows are the circuit's wires, in its own order, so the
+    passes act on them from axis 0 with the identity's columns trailing.
+    """
     reg = circuit.register
     dim = reg.dim
     _check_operator_dim(dim, "circuit register")
     t = np.eye(dim, dtype=complex).reshape([reg.d] * reg.num_wires + [dim])
-    return _apply_ops(t, circuit, reg, np.empty_like(t))[0].reshape(dim, dim)
+    return _apply_ops(t, circuit, 0, np.empty_like(t))[0].reshape(dim, dim)
 
 
 def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     """Run the circuit's gates on the state's wires of the same names.
 
     State wires the circuit does not name are left alone, and no dense
-    operator is built. The input state is not modified. The circuit is
-    compiled on its first evaluation, here or in ``circuit_to_unitary``,
-    and keeps its passes, so applying it again only executes them.
+    operator is built. The input state is not modified. The state may
+    hold the circuit's wires anywhere, so this is where they are put in
+    order: the one copy of the state made here moves them to the front,
+    in circuit order, the passes act on them there, and the result is
+    read back in the state's order. The circuit is compiled on its first
+    evaluation, here or in ``circuit_to_unitary``, and keeps its passes,
+    so applying it again only executes them.
     """
     reg = state.register
     if reg.d != circuit.register.d:
         raise ValueError(
             f"circuit dimension {circuit.register.d} does not match the state's {reg.d}"
         )
-    reg.positions(circuit.register.wires)  # raises on a wire the state lacks
-    t = state.tensor().copy()
-    return StateVector(reg, _apply_ops(t, circuit, reg, np.empty_like(t))[0])
+    pos = reg.positions(circuit.register.wires)  # raises on a wire the state lacks
+    perm = [*pos, *(i for i in range(reg.num_wires) if i not in pos)]
+    t = state.tensor().transpose(perm).copy()
+    x, _ = _apply_ops(t, circuit, 0, np.empty_like(t))
+    return StateVector(reg, x.transpose(np.argsort(perm)))
 
 
 def q_entries(d: int) -> np.ndarray:

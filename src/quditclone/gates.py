@@ -12,7 +12,7 @@ positive powers (X^-m = X^{d-m}), exact by the order-d group structure.
 
 import numpy as np
 
-from .linalg import _check_dim
+from .linalg import _check_dim, _check_int
 
 
 def omega(d: int) -> complex:
@@ -40,6 +40,7 @@ def fourier(d: int) -> np.ndarray:
 def x_power(d: int, k: int) -> np.ndarray:
     """X^k with the exponent reduced mod d."""
     _check_dim(d)
+    _check_int(k, "shift exponent")
     m = np.zeros((d, d), dtype=complex)
     j = np.arange(d)
     m[(j + k) % d, j] = 1.0
@@ -49,6 +50,7 @@ def x_power(d: int, k: int) -> np.ndarray:
 def z_phases(d: int, l: int) -> np.ndarray:
     """Diagonal of Z^l: w^(k*l) for k = 0..d-1, the exponent reduced mod d."""
     _check_dim(d)
+    _check_int(l, "phase exponent")
     return omega(d) ** (np.arange(d) * (l % d))
 
 

@@ -30,8 +30,10 @@ batched over their samples; the relay is a plain d^2 x d^2 matmul.
 
 A run orders its wires [A, S_j (j != t).., S_t, N_t, N_j (j != t)..]
 (``_run_register``), so that encryption's wires lead and decryption's
-trail, each in its circuit's order, and both circuits act on the state
-without a transposed copy. The tensor and every pass are then the same
+trail, each in its circuit's order. The evaluator acts in place on the
+block of axes it is given and never reorders a state, so the run names
+the block where each circuit's wires start: axis 0 for the encryption,
+axis n for the decryption. The tensor and every pass are then the same
 for every target t, so each target runs target n's circuits and reads
 the tensor under its own wire names. It writes the initial state directly,
 and the score reads the state where it lies. ``share_marginals`` takes
@@ -494,6 +496,10 @@ def _dec_circuit(d: int, n: int, literal: bool) -> circuits.Circuit:
     return udec(ProtocolParams(d, n, n))
 
 
+# A run's stages, in order: the keys of ``ProtocolReport.timings_ms``.
+_STAGES = ("prepare", "encrypt", "marginals", "decrypt", "verify")
+
+
 def run_protocol(
     params: ProtocolParams,
     psi: StateVector | None = None,
@@ -510,17 +516,18 @@ def run_protocol(
     up to a global phase. No dense operator is built: encryption and
     decryption run gate circuits on the state, decryption the factored
     circuit, or the paper-literal one when ``decrypt_with_circuit`` is
-    set. The state lives on ``_run_register``, where both circuits act in
-    place. The run works in its thread's two buffers (``_run_buffers``),
-    kept across runs: it prepares the state in one, each circuit passes it
-    back and forth with the other, and the scores write their products
-    into whichever is free. Both scores contract the state in place
-    (``share_marginals``, ``decryption_scores``): no reduced-density copy
-    of the state, no pair density matrix and no second product state is
-    formed. The circuits are target n's, built and compiled on the first
-    run at a (d, n, path) and reused at every target (``_enc_circuit``,
-    ``_dec_circuit``); the encryption is also shared by both paths. The
-    run scores their result under target t's wire names.
+    set. The state lives on ``_run_register``, where each circuit acts in
+    place on its block of axes, the encryption's from axis 0 and the
+    decryption's from axis n. The run works in its thread's two buffers
+    (``_run_buffers``), kept across runs: it prepares the state in one,
+    each circuit passes it back and forth with the other, and the scores
+    write their products into whichever is free. Both scores contract the
+    state in place (``share_marginals``, ``decryption_scores``): no
+    reduced-density copy of the state, no pair density matrix and no
+    second product state is formed. The circuits are target n's, built and
+    compiled on the first run at a (d, n, path) and reused at every target
+    (``_enc_circuit``, ``_dec_circuit``); the encryption is also shared by
+    both paths. The run scores their result under target t's wire names.
     """
     d, n, t = params.d, params.n, params.target_party
     if psi is None:
@@ -528,36 +535,28 @@ def run_protocol(
     if psi.register.num_wires != 1 or psi.register.d != d:
         raise ValueError("psi must be a single-wire state of dimension d")
 
-    timings: dict[str, float] = {}
-
-    t0 = time.perf_counter()
+    marks = [time.perf_counter()]
     enc, udec = _enc_circuit(d, n), _dec_circuit(d, n, bool(decrypt_with_circuit))
-    on = _run_register(d, n, n)  # the circuits' wire names
     reg = _run_register(d, n, t)
     buf, spare = _run_buffers(d ** (2 * n + 1))
     x = _prepare(d, n, psi.amplitudes, buf)
-    t1 = time.perf_counter()
-    timings["prepare"] = (t1 - t0) * 1e3
+    marks.append(time.perf_counter())
 
-    x, spare = circuits._apply_ops(x, enc, on, spare)
+    x, spare = circuits._apply_ops(x, enc, 0, spare)
     encrypted = StateVector(reg, x)
-    t2 = time.perf_counter()
-    timings["encrypt"] = (t2 - t1) * 1e3
+    marks.append(time.perf_counter())
 
     mixed = np.eye(d) / d
     marginals = [max_abs_diff(rho, mixed) for rho in _share_marginals(encrypted, n, spare)]
-    t3 = time.perf_counter()
-    timings["marginals"] = (t3 - t2) * 1e3
+    marks.append(time.perf_counter())
 
     # decryption overwrites both buffers, and so ``encrypted``
-    x, spare = circuits._apply_ops(x, udec, on, spare)
+    x, spare = circuits._apply_ops(x, udec, n, spare)
     decrypted = StateVector(reg, x)
-    t4 = time.perf_counter()
-    timings["decrypt"] = (t4 - t3) * 1e3
+    marks.append(time.perf_counter())
 
     fidelity, residuals = _decryption_scores(decrypted, psi, params, spare)
-    t5 = time.perf_counter()
-    timings["verify"] = (t5 - t4) * 1e3
+    marks.append(time.perf_counter())
 
     return ProtocolReport(
         d=d,
@@ -565,11 +564,11 @@ def run_protocol(
         seed=seed,
         target_party=t,
         tolerance=tol,
-        used_circuit=decrypt_with_circuit,
+        used_circuit=bool(decrypt_with_circuit),
         marginal_deviations=marginals,
         decryption_fidelity=fidelity,
         bell_residuals=residuals,
-        timings_ms=timings,
+        timings_ms={s: (b - a) * 1e3 for s, a, b in zip(_STAGES, marks, marks[1:])},
     )
 
 

@@ -132,6 +132,8 @@ def test_sequence_and_gauss_sum_refuse_with_their_cause():
     for m in (-1, 3):
         with pytest.raises(ValueError, match=f"m {m} out of range for d=3"):
             gauss_sum(3, m)
+    with pytest.raises(ValueError, match="gauss_sum shift m must be an integer, got 1.5"):
+        gauss_sum(3, 1.5)
 
 
 def test_sequence_invariants_enforced():

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -704,15 +705,29 @@ def test_circuit_on_an_in_order_block_matches_embedded_unitary():
         want = embed_apply(state, circuit_to_unitary(circ), (a, b, c))
         assert max_abs_diff(got.amplitudes, want.amplitudes) < 1e-12, offset
         assert np.array_equal(state.amplitudes, before)
-        # the caller's tensor serves as one of the two buffers, and no
-        # entry of the spare is read: a NaN there would reach the result
+        # the evaluator acts on the block from the axis it is given; the
+        # caller's tensor serves as one of the two buffers, and no entry
+        # of the spare is read: a NaN there would reach the result
         t = state.tensor().copy()
         spare = np.full_like(t, np.nan)
-        out, free = _apply_ops(t, circ, reg, spare)
+        out, free = _apply_ops(t, circ, offset, spare)
         assert max_abs_diff(out.reshape(-1), got.amplitudes) < 1e-12, offset
         # what comes back is the two buffers that went in, one of them free
         for buf in (t, spare):
             assert np.shares_memory(out, buf) != np.shares_memory(free, buf)
+    # and it allocates nothing of the state's size: numpy's broadcast
+    # multiply of a gather's phases takes a scratch buffer of at most
+    # np.getbufsize() entries, which is more than the state above, so
+    # this call runs the last circuit on a state of 3^13 amplitudes
+    t = np.zeros((d,) * 13, dtype=complex)
+    t[(0,) * 13] = 1
+    spare = np.empty_like(t)
+    tracemalloc.start()
+    out, _ = _apply_ops(t, circ, 3, spare)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 0.01 * t.nbytes, peak
+    assert abs(np.linalg.norm(out) - 1) < 1e-12
 
 
 def test_apply_circuit_without_passes_returns_a_copy():

@@ -13,7 +13,7 @@ from quditclone import (
     x_power,
     z_power,
 )
-from quditclone.gates import bell_amplitudes, bell_basis, omega, weyl_row, weyl_table
+from quditclone.gates import bell_amplitudes, bell_basis, omega, weyl_row, weyl_table, z_phases
 
 TOL = 1e-10
 DIMS = range(2, 8)
@@ -27,6 +27,14 @@ def test_gates_refuse_a_non_integer_dimension():
     with pytest.raises(ValueError, match="qudit dimension must be an integer"):
         fourier(2.5)
     assert max_abs_diff(fourier(np.int64(3)), fourier(3)) == 0
+    # a fractional power of X or Z is no Weyl operator
+    with pytest.raises(ValueError, match="phase exponent must be an integer, got 0.5"):
+        z_power(3, 0.5)
+    with pytest.raises(ValueError, match="phase exponent must be an integer"):
+        z_phases(3, 2.0)
+    with pytest.raises(ValueError, match="shift exponent must be an integer, got 1.5"):
+        x_power(3, 1.5)
+    assert np.array_equal(x_power(3, np.int64(4)), x_power(3, 1))
 
 
 def test_shift_x_is_pauli_x_for_d2():

@@ -573,9 +573,11 @@ def test_run_protocol_reuses_its_circuits(monkeypatch):
 
 
 def test_run_report_is_plain_json():
-    # an np.float64 score would make `passed` an np.bool_, which json refuses
-    for n in (1, 2):
-        report = run_protocol(ProtocolParams(3, n), seed=4)
+    # an np.float64 score would make `passed` an np.bool_, which json
+    # refuses; a path flag that is no bool is still reported as one
+    for n, flag in ((1, 0), (2, 1)):
+        report = run_protocol(ProtocolParams(3, n), seed=4, decrypt_with_circuit=flag)
+        assert report.to_dict()["used_circuit"] is bool(flag)
         assert type(report.passed) is bool
         assert type(report.decryption_fidelity) is float
         assert all(type(m) is float for m in report.marginal_deviations)
