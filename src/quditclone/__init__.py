@@ -6,18 +6,19 @@ decryption unitaries as test oracles, check every supporting operator
 identity, and export the gate-count and autocorrelation tables.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .linalg import (
     DEFAULT_TOL,
     OPERATOR_DIM_CAP,
     STATE_AMPLITUDE_CAP,
+    IdentityCheck,
     Register,
     SizeCapError,
     StateVector,
-    UnitaryCheck,
     is_unitary,
-    kron,
     kron_all,
     max_abs_diff,
 )
@@ -25,7 +26,6 @@ from .gates import (
     fourier,
     phase_z,
     shift_x,
-    swap_gate,
     x_power,
     z_power,
 )
@@ -38,7 +38,6 @@ from .cazac import (
     zadoff_chu,
 )
 from .protocol import (
-    IdentityCheck,
     IdentitySuiteReport,
     ProtocolParams,
     ProtocolReport,
@@ -47,7 +46,6 @@ from .protocol import (
     decryption_scores,
     exp_generalization,
     pauli_product,
-    protocol_register,
     random_state,
     run_protocol,
     share_marginals,
@@ -76,4 +74,8 @@ from .circuits import (
     tally_gates,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public API: every global that is neither private nor a submodule
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

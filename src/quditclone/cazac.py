@@ -9,7 +9,7 @@ proofs downstream.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,12 +18,18 @@ from .linalg import DEFAULT_TOL, _check_dim, _check_int, _check_state_size
 
 @dataclass(frozen=True)
 class ChuSequence:
-    """A length-d Zadoff-Chu coefficient sequence."""
+    """A length-d Zadoff-Chu coefficient sequence.
+
+    ``autocorr`` holds its periodic autocorrelation at every shift 0..d-1,
+    computed once here: the zero-autocorrelation check reads shifts
+    1..d-1, and ``autocorr2d`` reads all of them.
+    """
 
     d: int
     u: int
     q: int
     values: np.ndarray
+    autocorr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex).reshape(-1)
@@ -32,9 +38,9 @@ class ChuSequence:
             raise ValueError("value count does not match d")
         if np.max(np.abs(np.abs(vals) - 1.0)) > DEFAULT_TOL:
             raise ValueError("sequence entries must have unit modulus")
-        worst = max(
-            abs(periodic_autocorr(vals, s)) for s in range(1, self.d)
-        )
+        a = np.array([periodic_autocorr(vals, s) for s in range(self.d)])
+        object.__setattr__(self, "autocorr", a)
+        worst = np.abs(a[1:]).max()
         if worst > DEFAULT_TOL:
             raise ValueError(
                 f"sequence is not zero-autocorrelation (worst {worst:.3e})"
@@ -83,8 +89,7 @@ def autocorr2d(d: int) -> np.ndarray:
     """
     _check_dim(d)
     _check_state_size(d, 2, "autocorr grid")
-    c = chu(d).values
-    a = np.array([periodic_autocorr(c, s) for s in range(d)])
+    a = chu(d).autocorr
     return np.abs(np.outer(a, a))
 
 

@@ -369,9 +369,11 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     hold the circuit's wires anywhere, so this is where they are put in
     order: the one copy of the state made here moves them to the front,
     in circuit order, the passes act on them there, and the result is
-    read back in the state's order. The circuit is compiled on its first
-    evaluation, here or in ``circuit_to_unitary``, and keeps its passes,
-    so applying it again only executes them.
+    read back in the state's order into the buffer the passes left free.
+    So the call holds two states, and the result shares no memory with
+    the input even when the circuit has no passes. The circuit is
+    compiled on its first evaluation, here or in ``circuit_to_unitary``,
+    and keeps its passes, so applying it again only executes them.
     """
     reg = state.register
     if reg.d != circuit.register.d:
@@ -381,8 +383,10 @@ def apply_circuit(state: StateVector, circuit: Circuit) -> StateVector:
     pos = reg.positions(circuit.register.wires)  # raises on a wire the state lacks
     perm = [*pos, *(i for i in range(reg.num_wires) if i not in pos)]
     t = state.tensor().transpose(perm).copy()
-    x, _ = _apply_ops(t, circuit, 0, np.empty_like(t))
-    return StateVector(reg, x.transpose(np.argsort(perm)))
+    x, free = _apply_ops(t, circuit, 0, np.empty_like(t))
+    out = free.reshape(t.shape)
+    out[...] = x.transpose(np.argsort(perm))
+    return StateVector(reg, out)
 
 
 def q_entries(d: int) -> np.ndarray:

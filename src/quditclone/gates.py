@@ -59,15 +59,6 @@ def z_power(d: int, l: int) -> np.ndarray:
     return np.diag(z_phases(d, l))
 
 
-def swap_gate(d: int) -> np.ndarray:
-    """SWAP|j>|k> = |k>|j>."""
-    _check_dim(d)
-    s = np.zeros((d * d, d * d), dtype=complex)
-    j, k = np.divmod(np.arange(d * d), d)
-    s[k * d + j, j * d + k] = 1.0
-    return s
-
-
 def bell_amplitudes(d: int) -> np.ndarray:
     """Flat amplitudes of the maximally entangled two-qudit state."""
     _check_dim(d)

@@ -4,10 +4,13 @@ Everything is plain numpy: operators are square ``complex128`` arrays,
 states are flat amplitude vectors indexed big-endian over the register
 wires (first wire = most significant base-d digit). All functions are
 pure; the small dataclasses below are immutable after construction.
+``kron_all`` is the one Kronecker product, held to the operator cap.
+``IdentityCheck`` is the one check result: ``is_unitary`` returns one,
+and so does each identity that ``protocol.verify_identities`` checks.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,22 +63,19 @@ def _check_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} contains non-finite entries")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square operators."""
-    a, b = _as_complex(a), _as_complex(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("kron: first operand is not square")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("kron: second operand is not square")
-    _check_operator_dim(a.shape[0] * b.shape[0], "kron result")
-    return np.kron(a, b)
-
-
 def kron_all(mats) -> np.ndarray:
-    """Left-to-right Kronecker product of a sequence of square operators."""
+    """Left-to-right Kronecker product of a sequence of square operators.
+
+    Each operand is checked to be square, and each partial product against
+    the operator cap, before that product is formed.
+    """
     out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = kron(out, m)
+    for i, m in enumerate(mats):
+        m = _as_complex(m)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"kron_all: operand {i} is not square")
+        _check_operator_dim(len(out) * len(m), "kron_all product")
+        out = np.kron(out, m)
     return out
 
 
@@ -146,15 +146,30 @@ class StateVector:
 
 
 @dataclass(frozen=True)
-class UnitaryCheck:
-    """Outcome of a unitarity test with its worst entrywise deviation."""
+class IdentityCheck:
+    """One checked identity: its name, worst deviation and tolerance.
 
-    ok: bool
+    It is true when it passed, so ``if is_unitary(m):`` reads as it says.
+    """
+
+    name: str
     max_deviation: float
-    tol: float = field(default=DEFAULT_TOL)
+    tolerance: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_deviation", float(self.max_deviation))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.max_deviation <= self.tolerance)
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.passed
+
+    def to_dict(self) -> dict:
+        return {"name": self.name, "max_deviation": self.max_deviation,
+                "tolerance": self.tolerance, "passed": self.passed}
 
 
 def column_sparse_form(m: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -196,10 +211,11 @@ def _sparse_gram_deviation(rows: np.ndarray, entries: np.ndarray) -> float:
     return max(float(np.abs(gram).max(initial=0.0)), off_support)
 
 
-def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> UnitaryCheck:
+def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> IdentityCheck:
     """Check max |(M M^dag - I)_ij| <= tol.
 
-    A column-sparse M (``column_sparse_form``) takes the deviation from the
+    Returns the ``IdentityCheck`` named "unitary": true when M passed,
+    with that deviation and the tolerance. A column-sparse M (``column_sparse_form``) takes the deviation from the
     r^2 D products of nonzeros that share a column, O(D^2) with its scan;
     at r = 1 (a monomial M) they are the diagonal entries |m_j|^2. Any
     other M takes the product.
@@ -214,7 +230,7 @@ def is_unitary(m: np.ndarray, tol: float = DEFAULT_TOL) -> UnitaryCheck:
         g = m @ m.conj().T
         g[np.diag_indices_from(g)] -= 1
         dev = float(np.max(np.abs(g)))
-    return UnitaryCheck(dev <= tol, dev, tol)
+    return IdentityCheck("unitary", dev, tol)
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,10 +1,11 @@
 """Encryption/decryption unitaries and the end-to-end cloning protocol.
 
-The canonical register layout is [A, S_1..S_n, N_1..N_n]
-(``protocol_register``): the dense oracles, the tests and every public
-function that takes wire positions use it. Encryption acts on
-(A, S_1..S_n); decryption acts on the target share and all locally kept
-wires (S_t, N_t, N_j for j != t).
+The canonical register layout is [A, S_1..S_n, N_1..N_n]: the dense
+oracles, the tests and every public function that takes wire positions
+use it. Its builder, ``protocol_register``, is a test helper in
+``tests/conftest.py``; a run uses its own order (below). Encryption
+acts on (A, S_1..S_n); decryption acts on the target share and all
+locally kept wires (S_t, N_t, N_j for j != t).
 
 ``run_protocol`` executes only gate circuits of ``circuits``, on the
 state vector. It encrypts with ``build_enc_factored``, three passes over
@@ -55,7 +56,7 @@ thread keeps 2 x 16 x d^(2n+1) bytes, at most 128 MiB at the state cap.
 import functools
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +64,7 @@ from . import cazac, circuits, gates
 from .linalg import (
     DEFAULT_TOL,
     OPERATOR_DIM_CAP,
+    IdentityCheck,
     Register,
     SizeCapError,
     StateVector,
@@ -130,11 +132,6 @@ def suite_params(d: int, n: int) -> ProtocolParams:
             "on its d^2 x d^2 Bell-table products and d^3-amplitude relay states"
         )
     return params
-
-
-def protocol_register(d: int, n: int) -> Register:
-    wires = ["A"] + [f"S{i}" for i in range(1, n + 1)] + [f"N{i}" for i in range(1, n + 1)]
-    return Register(d, tuple(wires))
 
 
 def pauli_product(axis: str, d: int, n: int) -> np.ndarray:
@@ -572,26 +569,6 @@ def run_protocol(
     )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """One verified identity with its worst numerical deviation."""
-
-    name: str
-    max_deviation: float
-    tolerance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "max_deviation", float(self.max_deviation))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.max_deviation <= self.tolerance)
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
-
-
 @dataclass
 class IdentitySuiteReport:
     d: int
@@ -605,8 +582,8 @@ class IdentitySuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed,
-                "checks": [c.to_dict() for c in self.checks]}
+        return {"d": self.d, "n": self.n, "samples": self.samples, "seed": self.seed,
+                "checks": [c.to_dict() for c in self.checks], "passed": self.passed}
 
 
 def _check_ricochet(d, rng, samples):

@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded random draws, dense reference states and gates,
+"""Shared test helpers: seeded random draws, dense reference states and gates
+(the SWAP gate and the canonical protocol register among them),
 the state oracles (product states, operator embedding, density matrices,
 partial traces, overlaps) that the package's in-place code is checked against,
 and the per-sample loops and dense products that its batched and sparse
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import quditclone
 from quditclone import cazac, gates, protocol
 from quditclone.linalg import (
     DEFAULT_TOL,
@@ -75,6 +77,20 @@ def product_state(register: Register, parts) -> StateVector:
     perm = [order.index(w) for w in register.wires]
     amps = t.reshape([d] * len(order)).transpose(perm).reshape(-1)
     return StateVector(register, amps)
+
+
+def protocol_register(d: int, n: int) -> Register:
+    wires = ["A"] + [f"S{i}" for i in range(1, n + 1)] + [f"N{i}" for i in range(1, n + 1)]
+    return Register(d, tuple(wires))
+
+
+def swap_gate(d: int) -> np.ndarray:
+    """SWAP|j>|k> = |k>|j>."""
+    _check_dim(d)
+    s = np.zeros((d * d, d * d), dtype=complex)
+    j, k = np.divmod(np.arange(d * d), d)
+    s[k * d + j, j * d + k] = 1.0
+    return s
 
 
 def embed_apply(state: StateVector, op: np.ndarray, wires) -> StateVector:
@@ -317,6 +333,9 @@ def source_size(package: Path) -> tuple[int, int]:
 
 
 def pytest_terminal_summary(terminalreporter):
-    """Report the size of the package under test; it asserts nothing."""
+    """Report the size of the package under test and of its API; it asserts nothing."""
     total, code = source_size(Path(protocol.__file__).parent)
-    terminalreporter.write_line(f"quditclone sources: {total:,} lines, {code:,} code lines")
+    terminalreporter.write_line(
+        f"quditclone sources: {total:,} lines, {code:,} code lines, "
+        f"{len(quditclone.__all__)} public names"
+    )

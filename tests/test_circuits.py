@@ -5,7 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import controlled_power, embed_apply, p_controlled, random_unit_vector
+from conftest import (
+    controlled_power,
+    embed_apply,
+    p_controlled,
+    protocol_register,
+    random_unit_vector,
+)
 from quditclone import (
     Circuit,
     GateOp,
@@ -28,7 +34,6 @@ from quditclone import (
     kron_all,
     max_abs_diff,
     pauli_product,
-    protocol_register,
     q_entries,
     q_gate,
     shift_x,
@@ -736,3 +741,23 @@ def test_apply_circuit_without_passes_returns_a_copy():
     out = apply_circuit(state, Circuit(reg, ()))
     assert np.array_equal(out.amplitudes, state.amplitudes)
     assert not np.shares_memory(out.amplitudes, state.amplitudes)
+
+
+def test_apply_circuit_holds_two_states():
+    # the passes swap between a reordered copy of the state and one spare,
+    # and the result is read back into whichever of the two is free: the
+    # call's peak is two states, with passes or without
+    for d, n, t in ((4, 4, 1), (6, 3, 2)):
+        reg = protocol_register(d, n)
+        state = StateVector(reg, random_unit_vector(np.random.default_rng(d), reg.dim))
+        circ = build_udec_factored(ProtocolParams(d, n, t))
+        apply_circuit(state, circ)  # compile the passes outside the measurement
+        for c in (circ, Circuit(reg, ())):
+            tracemalloc.start()
+            out = apply_circuit(state, c)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak <= 2.1 * state.amplitudes.nbytes, (d, n, len(c.ops), peak)
+        # no passes: a copy in the state's order, sharing no memory with it
+        assert np.array_equal(out.amplitudes, state.amplitudes)
+        assert not np.shares_memory(out.amplitudes, state.amplitudes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import basis_state, controlled_power, p_controlled, random_matrix
+from conftest import basis_state, controlled_power, p_controlled, random_matrix, swap_gate
 from quditclone import (
     Register,
     StateVector,
@@ -9,7 +9,6 @@ from quditclone import (
     max_abs_diff,
     phase_z,
     shift_x,
-    swap_gate,
     x_power,
     z_power,
 )

@@ -12,6 +12,7 @@ from conftest import (
     random_unit_vector,
     random_unitary,
     reduced_density,
+    swap_gate,
 )
 from quditclone import (
     Register,
@@ -19,11 +20,10 @@ from quditclone import (
     StateVector,
     fourier,
     is_unitary,
-    kron,
+    kron_all,
     max_abs_diff,
     shift_x,
     phase_z,
-    swap_gate,
 )
 from quditclone.linalg import column_sparse_form
 from quditclone.cazac import chu
@@ -46,12 +46,12 @@ def test_register_refuses_a_non_integer_dimension():
 
 
 def test_kron_identity():
-    assert max_abs_diff(kron(np.eye(2), np.eye(2)), np.eye(4)) == 0
+    assert max_abs_diff(kron_all([np.eye(2), np.eye(2)]), np.eye(4)) == 0
 
 
 def test_kron_double_flip():
     reg = Register(2, ("a", "b"))
-    xx = kron(shift_x(2), shift_x(2))
+    xx = kron_all([shift_x(2), shift_x(2)])
     out = xx @ basis_state(reg, (0, 0)).amplitudes
     assert max_abs_diff(out, basis_state(reg, (1, 1)).amplitudes) == 0
 
@@ -59,7 +59,7 @@ def test_kron_double_flip():
 def test_kron_shift_phase_column():
     # (X3 x Z3)|01> = X|0> x Z|1> = omega |11>: single nonzero at row 4
     w = np.exp(2j * np.pi / 3)
-    m = kron(shift_x(3), phase_z(3))
+    m = kron_all([shift_x(3), phase_z(3)])
     col = m[:, 1]
     expected = np.zeros(9, dtype=complex)
     expected[4] = w
@@ -69,13 +69,13 @@ def test_kron_shift_phase_column():
 def test_kron_associativity():
     rng = np.random.default_rng(3)
     a, b, c = (random_matrix(rng, k) for k in (2, 3, 4))
-    assert max_abs_diff(kron(kron(a, b), c), kron(a, kron(b, c))) < 1e-12
+    assert max_abs_diff(kron_all([kron_all([a, b]), c]), kron_all([a, kron_all([b, c])])) < 1e-12
 
 
 def test_kron_size_cap():
     big = np.eye(70)
     with pytest.raises(SizeCapError):
-        kron(big, big)
+        kron_all([big, big])
 
 
 def test_embed_apply_single_wire_flip():
@@ -211,7 +211,7 @@ def test_is_unitary_monomial_scan_matches_product():
     rng = np.random.default_rng(12)
     perm = rng.permutation(27)
     phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
-    cases = [kron(shift_x(3), phase_z(3)), np.eye(27)[perm] * phases]
+    cases = [kron_all([shift_x(3), phase_z(3)]), np.eye(27)[perm] * phases]
     cases.append(cases[-1] * np.where(np.arange(27) == 5, 1.0 + 1e-6, 1.0))
     cases.append(np.diag([1.0, 0.0]))  # a zero row is not monomial
     for m in cases:
@@ -227,7 +227,7 @@ def test_monomial_form_reads_back_the_matrix():
     rng = np.random.default_rng(13)
     perm = rng.permutation(27)
     m = np.eye(27)[perm] * np.exp(1j * rng.uniform(-np.pi, np.pi, 27))
-    for mat in (m, kron(shift_x(3), phase_z(3)), np.eye(4)):
+    for mat in (m, kron_all([shift_x(3), phase_z(3)]), np.eye(4)):
         (rows,), (entries,) = column_sparse_form(mat)
         back = np.zeros_like(mat, dtype=complex)
         back[rows, np.arange(len(mat))] = entries
@@ -263,10 +263,10 @@ def test_column_sparse_form_refuses_uneven_columns():
 
 
 def test_refusals_name_their_cause():
-    with pytest.raises(ValueError, match="first operand is not square"):
-        kron(np.ones((2, 3)), np.eye(2))
-    with pytest.raises(ValueError, match="second operand is not square"):
-        kron(np.eye(2), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="kron_all: operand 0 is not square"):
+        kron_all([np.ones((2, 3)), np.eye(2)])
+    with pytest.raises(ValueError, match="kron_all: operand 1 is not square"):
+        kron_all([np.eye(2), np.ones((3, 2))])
     with pytest.raises(ValueError, match="at least one wire"):
         Register(2, ())
     with pytest.raises(ValueError, match="repeated wires"):

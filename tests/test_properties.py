@@ -7,7 +7,15 @@ column-sparse matrix agrees with the dense product M M^dag."""
 import numpy as np
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import controlled_power, gram_deviation, overlap, product_state, reduced_density
+from conftest import (
+    controlled_power,
+    gram_deviation,
+    overlap,
+    product_state,
+    protocol_register,
+    reduced_density,
+    swap_gate,
+)
 from quditclone import (
     Circuit,
     GateOp,
@@ -23,14 +31,11 @@ from quditclone import (
     decryption_scores,
     fourier,
     is_unitary,
-    kron,
     kron_all,
     max_abs_diff,
-    protocol_register,
     random_state,
     run_protocol,
     share_marginals,
-    swap_gate,
     x_power,
     z_power,
 )
@@ -117,7 +122,7 @@ def test_in_place_scores_match_density_oracles(case, with_circuit):
 
 
 # Reference for the circuit evaluator: every gate as a dense matrix built
-# from the `gates` constructors and `linalg.kron` alone, never from `circuits`.
+# from the `gates` constructors, `np.kron` and `kron_all` alone, never from `circuits`.
 
 def _base_matrix(op, d):
     if op.kind == "xpow":
@@ -144,14 +149,14 @@ def _gate_matrix(op, d):
     if not op.control_levels:
         return u
     proj = kron_all([np.diag(np.eye(d)[lv]) for lv in op.control_levels])
-    return kron(proj, u) + kron(np.eye(proj.shape[0]) - proj, np.eye(u.shape[0]))
+    return np.kron(proj, u) + np.kron(np.eye(proj.shape[0]) - proj, np.eye(u.shape[0]))
 
 
 def _embedded(op, reg):
     """``op`` on the whole register: kron with the identity, then axes into register order."""
     d, m = reg.d, reg.num_wires
     order = list(op.wires) + [w for w in reg.wires if w not in op.wires]
-    full = kron(_gate_matrix(op, d), np.eye(d ** (m - len(op.wires))))
+    full = np.kron(_gate_matrix(op, d), np.eye(d ** (m - len(op.wires))))
     perm = [order.index(w) for w in reg.wires]
     t = full.reshape([d] * (2 * m)).transpose(perm + [m + p for p in perm])
     return t.reshape(reg.dim, reg.dim)
@@ -239,4 +244,4 @@ def test_is_unitary_sparse_path_matches_dense_product(m):
     event(f"sparse path: {sparse}")
     check, want = is_unitary(m), gram_deviation(m)
     assert abs(check.max_deviation - want) <= 1e-14, (check.max_deviation, want)
-    assert bool(check) == (want <= check.tol)
+    assert bool(check) == (want <= check.tolerance)

@@ -14,10 +14,12 @@ from conftest import (
     partial_trace,
     partial_trace_product_loop,
     product_state,
+    protocol_register,
     random_matrix,
     random_unit_vector,
     random_unitary,
     ricochet_loop,
+    swap_gate,
 )
 from quditclone import (
     ProtocolParams,
@@ -36,11 +38,9 @@ from quditclone import (
     max_abs_diff,
     pauli_product,
     phase_z,
-    protocol_register,
     random_state,
     run_protocol,
     shift_x,
-    swap_gate,
     u_dec_dense,
     u_enc,
     v_of_p,
@@ -456,8 +456,6 @@ def test_single_share_brute_force_oracle():
 
 def test_encrypted_state_partial_trace_is_mixed():
     # build rho_enc explicitly for (d, n) = (3, 2) and trace all but S1
-    from quditclone.protocol import protocol_register
-
     d, n = 3, 2
     rng = np.random.default_rng(17)
     reg = protocol_register(d, n)
